@@ -233,6 +233,13 @@ class Dataset:
             )
         if self.inputs.shape[0] == 0:
             raise ValueError("dataset is empty")
+        for values, names in ((self.inputs, self.input_names), (self.outputs, self.output_names)):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                k, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"series {names[j]!r} has non-finite value {values[k, j]} at sample {k}"
+                )
 
     @property
     def n_samples(self) -> int:

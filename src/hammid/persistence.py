@@ -198,6 +198,11 @@ def load_dataset(path) -> Dataset:
     if not rows:
         raise FileFormatError(path, None, "dataset has no rows")
     table = np.array(rows)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        name = (input_names + output_names)[j]
+        raise FileFormatError(path, row_start + 1 + int(k), f"non-finite {name}: {table[k, j]}")
     r = len(input_names)
     return Dataset(
         sample_period=sample_period,

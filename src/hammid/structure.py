@@ -3,24 +3,32 @@
 Delays come from a residual-loss scan: the numerator block of one input is
 slid to later and later starting lags, and the delay is the largest start
 that costs nothing — exactly the number of leading zero numerator taps the
-data supports.  Degree p and the orders (n, m) are then chosen by recursive
-column augmentation: growing one order appends columns to the regressor, so
-each augmented solution is obtained from the previous one by a correction
-that inverts only the small Schur complement of the new columns.  The sweep
-stops where the loss J = ||y - H theta||^2 / rows no longer improves
+data supports.  Degree p and the orders (n, m) are then chosen by sweeps
+that stop where the loss J = ||y - H theta||^2 / rows no longer improves
 noticeably (relative plateau threshold) or has reached the data's numerical
 noise floor.
+
+Every candidate of the scan, and every candidate of the search, regresses
+one output over the same row window on a subset of one fixed bank of
+lagged-output and lagged-input-power columns.  The bank is built once per
+output and compressed by a single QR factorization of [H y]; each
+candidate's loss is then a least-squares solve on the columns of the small
+R factor that belong to it (QR data compression).  :func:`augment_columns`
+is the paper's partitioned update of a solution when columns are appended:
+it inverts only the Schur complement of the new columns and gives the same
+solution as a direct solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .estimate import (
     ChannelOrders,
+    Column,
     RegressionProblem,
     StructureOrders,
     build_regressor,
@@ -86,6 +94,45 @@ def augment_columns(
     return theta_full, J_new
 
 
+class _CompressedBank:
+    """R factor of [H y] for one output's column bank, over one row window.
+
+    For any subset S of the bank's columns, ||y - H_S theta|| equals
+    ||r_y - R_S theta|| (r_y the last column of R), so every candidate
+    regression inside the bank is solved on R alone.
+    """
+
+    def __init__(self, data: Dataset, orders: StructureOrders, output: int, start: int):
+        prob = build_regressor(data, orders, output, start=start)
+        self.column_map = prob.column_map
+        self.n_rows = prob.n_rows
+        Hy = np.column_stack([prob.H, prob.y])
+        del prob  # at most two copies of the bank alive: Hy and the QR's own
+        self.R = np.linalg.qr(Hy, mode="r")
+
+    def loss(self, orders: StructureOrders) -> float:
+        """J of the regression on the bank columns that ``orders`` spans."""
+        cols = [i for i, c in enumerate(self.column_map) if _spans(orders, c)]
+        A, b = self.R[:, cols], self.R[:, -1]
+        # the cutoff rcond=None applies to the full rows x |S| problem
+        theta, *_ = np.linalg.lstsq(A, b, rcond=np.finfo(float).eps * self.n_rows)
+        r = b - A @ theta
+        return float(r @ r) / self.n_rows
+
+
+def _spans(orders: StructureOrders, col: Column) -> bool:
+    if col.kind == "output_lag":
+        return col.lag <= orders.n
+    ch = orders.channels[col.input]
+    return col.power <= ch.p and ch.d <= col.lag <= ch.d + ch.m
+
+
+def _uniform_orders(n: int, m: int, p: int, delays) -> StructureOrders:
+    return StructureOrders(
+        n=n, channels=tuple(ChannelOrders(p=p, m=m, d=d) for d in delays)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Delay estimation
 
@@ -124,18 +171,6 @@ def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float
     return peak
 
 
-def _delay_scan_regressor(U, y, scan_input, d, n_fit, p_fit, span, start):
-    N = len(y)
-    cols = [-y[start - i:N - i] for i in range(1, n_fit + 1)]
-    for j in range(U.shape[1]):
-        first = d if j == scan_input else 0
-        for power in range(1, p_fit + 1):
-            up = U[:, j] ** power
-            for lag in range(first, span + 1):
-                cols.append(up[start - lag:N - lag])
-    return np.column_stack(cols), y[start:N]
-
-
 def estimate_delays(
     inputs,
     y,
@@ -158,29 +193,37 @@ def estimate_delays(
     y = np.asarray(y, dtype=float)
     if len(y) != U.shape[0]:
         raise ValueError(f"series lengths differ: {U.shape[0]} vs {len(y)}")
+    data = Dataset(
+        sample_period=1.0,
+        inputs=U,
+        outputs=y,
+        input_names=tuple(f"input {j}" for j in range(U.shape[1])),
+        output_names=("output",),
+    )
     if max_lag < 0 or max_lag >= len(y) // 4:
         raise ValueError(f"max_lag must lie in [0, N/4), got {max_lag}")
     if np.ptp(y) == 0:
         raise ValueError("constant output series")
     span = max_lag + pad
     start = max(n_fit, span)
-    n_cols = n_fit + U.shape[1] * p_fit * (span + 1)
-    if len(y) - start <= n_cols:
+    full = _uniform_orders(n_fit, span, p_fit, [0] * U.shape[1])
+    if len(y) - start <= full.n_parameters:
         raise ValueError(
             f"series of length {len(y)} too short for the delay scan "
-            f"({n_cols} regressors from row {start})"
+            f"({full.n_parameters} regressors from row {start})"
         )
-    floor = _EXACT_FIT_FLOOR * float(np.mean(y[start:] ** 2))
-    results = []
     for j in range(U.shape[1]):
         if np.ptp(U[:, j]) == 0:
             raise ValueError(f"constant input series {j}")
+    floor = _EXACT_FIT_FLOOR * float(np.mean(y[start:] ** 2))
+    bank = _CompressedBank(data, full, 0, start)
+    results = []
+    for j in range(U.shape[1]):
         losses = np.empty(max_lag + 1)
         for d in range(max_lag + 1):
-            H, yv = _delay_scan_regressor(U, y, j, d, n_fit, p_fit, span, start)
-            theta, *_ = np.linalg.lstsq(H, yv, rcond=None)
-            r = yv - H @ theta
-            losses[d] = float(r @ r) / len(yv)
+            channels = list(full.channels)
+            channels[j] = replace(channels[j], d=d, m=span - d)
+            losses[d] = bank.loss(replace(full, channels=channels))
         bound = max(losses[0] * (1.0 + _DELAY_JUMP_TOL), floor)
         delay = 0
         for d in range(max_lag + 1):
@@ -221,16 +264,11 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One evaluated order combination.
-
-    ``theta`` is laid out in augmentation order (the base problem's columns
-    followed by each appended block), not the canonical regressor order.
-    """
+    """One evaluated order combination."""
 
     stage: str  # "p", "n" or "m"
     orders: StructureOrders
     loss: float
-    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,43 +279,6 @@ class StructureSearchResult:
     convergence_floor: float
 
 
-class _Chain:
-    """Augmentation chain: running LS solution along a nested column sequence.
-
-    Falls back to a direct minimum-norm solve when an augmentation step is
-    singular (the appended columns add nothing new, e.g. past an exact fit
-    on noiseless data).
-    """
-
-    def __init__(self, H: np.ndarray, y: np.ndarray):
-        self.H = H
-        self.y = y
-        self.theta, self.J = self._direct(H, y)
-
-    @staticmethod
-    def _direct(H, y):
-        theta, *_ = np.linalg.lstsq(H, y, rcond=None)
-        r = y - H @ theta
-        return theta, float(r @ r) / len(y)
-
-    def append(self, new_cols: np.ndarray):
-        prob = RegressionProblem(H=self.H, y=self.y, column_map=())
-        try:
-            theta, J = augment_columns(prob, self.theta, new_cols)
-        except AugmentationError:
-            theta, J = None, np.inf
-        self.H = np.hstack([self.H, new_cols])
-        if theta is None or J > self.J * (1 + 1e-9) + 1e-300:
-            theta, J = self._direct(self.H, self.y)
-        self.theta, self.J = theta, J
-
-
-def _uniform_orders(n: int, m: int, p: int, delays) -> StructureOrders:
-    return StructureOrders(
-        n=n, channels=tuple(ChannelOrders(p=p, m=m, d=d) for d in delays)
-    )
-
-
 def select_structure(
     data: Dataset,
     output: int,
@@ -286,10 +287,11 @@ def select_structure(
     plateau_threshold: float = DEFAULT_PLATEAU_THRESHOLD,
     convergence_floor: float = DEFAULT_CONVERGENCE_FLOOR,
 ) -> StructureSearchResult:
-    """Choose (n, m, p) for one output by recursive augmentation sweeps.
+    """Choose (n, m, p) for one output by order sweeps.
 
     All candidates share the row window implied by the search bounds so
-    their losses are comparable.  Sweep order: degree p first (at the full
+    their losses are comparable; each is a column subset of the bank at the
+    bounds' orders.  Sweep order: degree p first (at the full
     dynamic orders), then n (at full m), then m.  Each sweep stops at the
     smallest order whose successor improves J by less than the plateau
     threshold, or whose J is already below the convergence floor (relative
@@ -300,78 +302,43 @@ def select_structure(
     if len(delays) != data.n_inputs:
         raise ValueError(f"need one delay per input, got {len(delays)}")
     start = max(bounds.n_max, max(delays) + bounds.m_max)
-    max_cols = bounds.n_max + data.n_inputs * bounds.p_max * (bounds.m_max + 1)
-    if data.n_samples - start <= max_cols:
+    full = _uniform_orders(bounds.n_max, bounds.m_max, bounds.p_max, delays)
+    if data.n_samples - start <= full.n_parameters:
         raise ValueError(
             f"dataset of length {data.n_samples} too short for bounds needing "
-            f"{max_cols} regressors from row {start}"
+            f"{full.n_parameters} regressors from row {start}"
         )
     floor = convergence_floor * float(np.mean(data.outputs[start:, output] ** 2))
+    bank = _CompressedBank(data, full, output, start)
     candidates: list[Candidate] = []
-    y = data.outputs[:, output]
-    N = data.n_samples
 
-    def problem(n, m, p):
-        return build_regressor(data, _uniform_orders(n, m, p, delays), output, start=start)
-
-    def swept(stage, values, base, increment, orders_at):
-        """Walk the order values along one chain; return the selected one."""
-        chain = _Chain(base.H, base.y)
-        selected = values[0]
-        candidates.append(Candidate(stage, orders_at(selected), chain.J, chain.theta))
-        prev = chain.J
-        if prev <= floor:
-            return selected
-        for value in values[1:]:
-            chain.append(increment(value))
-            candidates.append(Candidate(stage, orders_at(value), chain.J, chain.theta))
-            if prev > 0 and (prev - chain.J) / prev < plateau_threshold:
-                return selected
-            selected = value
-            prev = chain.J
-            if prev <= floor:
-                return selected
+    def swept(stage, values, orders_at):
+        """Walk the order values; return the selected one."""
+        selected = prev = None
+        for value in values:
+            orders = orders_at(value)
+            J = bank.loss(orders)
+            candidates.append(Candidate(stage, orders, J))
+            if prev is not None and prev > 0 and (prev - J) / prev < plateau_threshold:
+                break
+            selected, prev = value, J
+            if J <= floor:
+                break
         return selected
-
-    def power_block(p):
-        cols = []
-        for j in range(data.n_inputs):
-            up = data.inputs[:, j] ** p
-            for l in range(bounds.m_max + 1):
-                lag = delays[j] + l
-                cols.append(up[start - lag:N - lag])
-        return np.column_stack(cols)
 
     p_hat = swept(
         "p",
-        list(range(1, bounds.p_max + 1)),
-        problem(bounds.n_max, bounds.m_max, 1),
-        power_block,
+        range(1, bounds.p_max + 1),
         lambda p: _uniform_orders(bounds.n_max, bounds.m_max, p, delays),
     )
-
     n_hat = swept(
         "n",
-        list(range(1, bounds.n_max + 1)),
-        problem(1, bounds.m_max, p_hat),
-        lambda n: (-y[start - n:N - n]).reshape(-1, 1),
+        range(1, bounds.n_max + 1),
         lambda n: _uniform_orders(n, bounds.m_max, p_hat, delays),
     )
-
-    def m_block(m):
-        cols = []
-        for j in range(data.n_inputs):
-            for power in range(1, p_hat + 1):
-                up = data.inputs[:, j] ** power
-                lag = delays[j] + m
-                cols.append(up[start - lag:N - lag])
-        return np.column_stack(cols)
-
     m_hat = swept(
         "m",
-        list(range(0, bounds.m_max + 1)),
-        problem(n_hat, 0, p_hat),
-        m_block,
+        range(0, bounds.m_max + 1),
         lambda m: _uniform_orders(n_hat, m, p_hat, delays),
     )
 

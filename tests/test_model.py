@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hammid import (
+    Dataset,
     HammersteinChannel,
     LinearDynamics,
     MimoHammersteinModel,
@@ -212,3 +213,16 @@ class TestModelInvariants:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="delay"):
             LinearDynamics(a=(), b=(1.0,), d=-1)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_the_series(self, bad):
+        inputs = np.ones((10, 2))
+        outputs = np.zeros((10, 1))
+        outputs[4, 0] = bad
+        with pytest.raises(ValueError, match=r"series 'y' has non-finite value .* at sample 4"):
+            Dataset(1.0, inputs, outputs, ("u1", "u2"), ("y",))
+        inputs[6, 1] = bad
+        with pytest.raises(ValueError, match="series 'u2'"):
+            Dataset(1.0, inputs, np.zeros((10, 1)), ("u1", "u2"), ("y",))

@@ -135,6 +135,23 @@ class TestDatasetFiles:
         with pytest.raises(FileFormatError, match="bad.csv:8"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_cites_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        lines = [
+            "# hammid dataset v1",
+            "# sample_period: 1.0",
+            "# inputs: u",
+            "# outputs: y",
+            "index,u,y",
+        ]
+        lines += [f"{k},{k}.0,{k}.5" for k in range(5)]
+        lines[8] = f"3,3.0,{cell}"  # file line 9
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="bad.csv:9: non-finite y") as err:
+            load_dataset(path)
+        assert err.value.line == 9
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -20,7 +20,7 @@ from hammid import (
     simulate_channel,
 )
 from hammid.estimate import RegressionProblem
-from hammid.structure import AugmentationError
+from hammid.structure import _EXACT_FIT_FLOOR, AugmentationError
 
 from helpers import default_excitation, preset_oracle_dataset, recursion_oracle
 
@@ -111,7 +111,70 @@ class TestAugmentColumns:
             assert J_new <= J0 + 1e-10 * max(1.0, J0)
 
 
+def _direct_loss(H, y):
+    r = y - H @ _lstsq_fit(H, y)
+    return float(r @ r) / len(y)
+
+
+def _assert_losses_close(got, want, power):
+    """Relative agreement wherever a loss lies above the exact-fit floor."""
+    floor = _EXACT_FIT_FLOOR * power
+    for a, b in zip(got, want):
+        if max(a, b) > floor:
+            assert a == pytest.approx(b, rel=1e-9)
+
+
+def _reference_delay_scan(U, y, max_lag, n_fit=8, p_fit=4, pad=8):
+    """Delays and losses of the scan with one full lstsq per candidate regressor."""
+    N = len(y)
+    span = max_lag + pad
+    start = max(n_fit, span)
+    floor = _EXACT_FIT_FLOOR * float(np.mean(y[start:] ** 2))
+    delays, profiles = [], []
+    for j in range(U.shape[1]):
+        losses = []
+        for d in range(max_lag + 1):
+            cols = [-y[start - i:N - i] for i in range(1, n_fit + 1)]
+            for jj in range(U.shape[1]):
+                for power in range(1, p_fit + 1):
+                    for lag in range(d if jj == j else 0, span + 1):
+                        cols.append(U[start - lag:N - lag, jj] ** power)
+            losses.append(_direct_loss(np.column_stack(cols), y[start:]))
+        bound = max(losses[0] * 1.2, floor)
+        delay = 0
+        while delay < max_lag and losses[delay + 1] <= bound:
+            delay += 1
+        delays.append(delay)
+        profiles.append(losses)
+    return delays, profiles
+
+
 class TestDelayEstimation:
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_matches_direct_solve_per_candidate(self, noise_std):
+        data = preset_oracle_dataset(n_samples=1070, noise_std=noise_std)
+        for s in range(data.n_outputs):
+            y = data.outputs[:, s]
+            ests = estimate_delays(data.inputs, y, max_lag=10)
+            delays, profiles = _reference_delay_scan(data.inputs, y, max_lag=10)
+            assert [e.delay for e in ests] == delays
+            power = float(np.mean(y[18:] ** 2))
+            for est, losses in zip(ests, profiles):
+                _assert_losses_close(est.losses, losses, power)
+
+    def test_non_finite_rejected(self):
+        rng = np.random.default_rng(41)
+        u = rng.normal(size=(800, 2))
+        y = u[:, 0] + 0.5 * u[:, 1]
+        bad_y = y.copy()
+        bad_y[500] = np.nan
+        with pytest.raises(ValueError, match="non-finite value nan at sample 500"):
+            estimate_delays(u, bad_y, max_lag=5)
+        bad_u = u.copy()
+        bad_u[7, 1] = np.inf
+        with pytest.raises(ValueError, match="'input 1' has non-finite value inf"):
+            estimate_delays(bad_u, y, max_lag=5)
+
     def test_pure_delay(self):
         rng = np.random.default_rng(26)
         u = rng.normal(size=400)
@@ -203,6 +266,15 @@ class TestSelectStructure:
         result_2 = select_structure(data, 1, [3, 3], SearchBounds(6, 6, 4))
         assert result_1.selected.channels[0].p == 2
         assert result_2.selected.channels[0].p == 4
+        # every candidate's loss is the direct solve of its own regressor
+        # over the search's row window, start = max(n_max, max(d) + m_max)
+        for s, result, start in [(0, result_1, 7), (1, result_2, 9)]:
+            direct = []
+            for c in result.candidates:
+                prob = build_regressor(data, c.orders, s, start=start)
+                direct.append(_direct_loss(prob.H, prob.y))
+            power = float(np.mean(data.outputs[start:, s] ** 2))
+            _assert_losses_close([c.loss for c in result.candidates], direct, power)
 
     def test_deterministic(self):
         data = self._synthetic([0.25], [1.0, 0.5], 1, [-1.5, 0.7])
