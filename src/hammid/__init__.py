@@ -4,7 +4,7 @@ Identify block-oriented nonlinear models (static polynomial nonlinearity
 followed by linear rational dynamics per input-output channel) from sampled
 input-output data: pseudo-random excitation design, preprocessing, batch
 and recursive least-squares estimation, structure-order selection, and
-hold-out validation.
+hold-out validation, chained by ``identify``.
 """
 
 from .estimate import (
@@ -47,6 +47,7 @@ from .persistence import (
     save_model,
     save_series,
 )
+from .pipeline import Identification, StageError, identify, load_config
 from .preprocess import PreprocessConfig, median_filter, prepare_dataset, remove_dc
 from .structure import (
     AugmentationError,

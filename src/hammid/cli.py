@@ -1,6 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments, calls the library, writes files.
 
-Subcommands wire the identification pipeline::
+Subcommands::
 
     hammid excite    --config cfg.json --output-dir out/
     hammid simulate  --model model.json --inputs a.txt b.txt --output-dir out/
@@ -18,91 +18,22 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import estimate, persistence, preprocess, structure, validate
+from . import persistence, preprocess, structure, validate
 from .excitation import AmplitudeGrid, generate_excitation
 from .model import Dataset, MimoHammersteinModel, preset_model, simulate_mimo
-
-DEFAULT_CONFIG: dict = {
-    "sample_period": 1.0,
-    "n_samples": 1070,
-    "seed": 1,
-    "hold": 1,
-    "inputs": [
-        {"name": "I_p", "unit": "A", "low": 130.0, "high": 170.0, "step": 2.0,
-         "operating_point": 150.0},
-        {"name": "V_f", "unit": "cm/s", "low": 4.0, "high": 10.0, "step": 1.0,
-         "operating_point": 7.0},
-    ],
-    "outputs": [
-        {"name": "W_b", "unit": "mm"},
-        {"name": "H_f", "unit": "mm"},
-    ],
-    "preprocess": {"median_window": 5, "filter_inputs": False},
-    "delay": {"max_lag": 10},
-    "structure": {
-        "n_max": 6, "m_max": 6, "p_max": 4,
-        "plateau_threshold": structure.DEFAULT_PLATEAU_THRESHOLD,
-        "convergence_floor": structure.DEFAULT_CONVERGENCE_FLOOR,
-    },
-    "estimator": {"method": "batch", "alpha_sq": estimate.DEFAULT_ALPHA_SQ},
-    "fixed_orders": None,
-    "n_train": 1000,
-    "validation": {"one_step_ahead": False, "std_ddof": 0},
-}
-
-
-class StageError(RuntimeError):
-    """Pipeline failure labeled with the stage it came from."""
-
-    def __init__(self, stage: str, error: Exception):
-        super().__init__(f"{stage}: {error}")
-        self.stage = stage
-
-
-def load_config(path: str | None, seed: int | None = None) -> dict:
-    """Merge a config file over the defaults; ``seed`` overrides the base seed."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
-        for key, value in user.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
-    if seed is not None:
-        cfg["seed"] = seed
-    for idx, spec in enumerate(cfg["inputs"]):
-        spec.setdefault("seed", cfg["seed"] + idx)
-    return cfg
+from .pipeline import identify, load_config, stage
 
 
 def _write_resolved_config(cfg: dict, outdir: Path) -> None:
     (outdir / "resolved_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _parse_fixed_orders(raw) -> list[estimate.StructureOrders]:
-    orders = []
-    for entry in raw:
-        orders.append(
-            estimate.StructureOrders(
-                n=int(entry["n"]),
-                channels=tuple(
-                    estimate.ChannelOrders(p=int(c["p"]), m=int(c["m"]), d=int(c["d"]))
-                    for c in entry["channels"]
-                ),
-            )
-        )
-    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -174,133 +105,28 @@ def cmd_simulate(
     return trace
 
 
-def run_identification(data: Dataset, cfg: dict):
-    """preprocess -> delays -> structure -> estimate -> separate -> validate.
-
-    Returns (model, search results per output, validation report, offsets).
-    """
-    try:
-        pp = preprocess.PreprocessConfig(
-            median_window=int(cfg["preprocess"]["median_window"]),
-            filter_inputs=bool(cfg["preprocess"]["filter_inputs"]),
-        )
-        deviations, offsets = preprocess.prepare_dataset(data, pp)
-    except Exception as e:
-        raise StageError("preprocess", e) from e
-
-    n_train = int(cfg["n_train"])
-    try:
-        train, test = validate.split_dataset(deviations, n_train)
-    except Exception as e:
-        raise StageError("split", e) from e
-
-    fixed = cfg.get("fixed_orders")
-    searches: list[structure.StructureSearchResult | None] = []
-    per_output = []
-    if fixed is not None:
-        orders_list = _parse_fixed_orders(fixed)
-        if len(orders_list) != data.n_outputs:
-            raise StageError(
-                "structure",
-                ValueError(f"fixed_orders describe {len(orders_list)} outputs, dataset has {data.n_outputs}"),
-            )
-        searches = [None] * data.n_outputs
-    else:
-        try:
-            max_lag = int(cfg["delay"]["max_lag"])
-            scfg = cfg["structure"]
-            bounds = structure.SearchBounds(
-                n_max=int(scfg["n_max"]), m_max=int(scfg["m_max"]), p_max=int(scfg["p_max"])
-            )
-            orders_list = []
-            for s in range(train.n_outputs):
-                delays = [
-                    est.delay
-                    for est in structure.estimate_delays(
-                        train.inputs, train.outputs[:, s], max_lag
-                    )
-                ]
-                result = structure.select_structure(
-                    train,
-                    s,
-                    delays,
-                    bounds,
-                    plateau_threshold=float(scfg["plateau_threshold"]),
-                    convergence_floor=float(scfg["convergence_floor"]),
-                )
-                searches.append(result)
-                orders_list.append(result.selected)
-        except StageError:
-            raise
-        except Exception as e:
-            raise StageError("structure", e) from e
-
-    try:
-        method = cfg["estimator"]["method"]
-        for s, orders in enumerate(orders_list):
-            prob = estimate.build_regressor(train, orders, s)
-            if method == "rls":
-                theta = estimate.run_rls(prob, float(cfg["estimator"]["alpha_sq"])).theta
-            elif method == "batch":
-                theta = estimate.batch_ls(prob).theta
-            else:
-                raise ValueError(f"unknown estimator method {method!r}")
-            per_output.append((orders, estimate.separate_parameters(theta, orders)))
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("estimate", e) from e
-
-    operating_point = {
-        name: offsets[name] for name in data.input_names + data.output_names
-    }
-    model = estimate.assemble_model(
-        per_output,
-        data.input_names,
-        data.output_names,
-        operating_point=operating_point,
-        metadata={"estimator": method, "n_train": n_train},
-    )
-
-    try:
-        vcfg = cfg["validation"]
-        report = validate.evaluate(
-            model,
-            test,
-            one_step_ahead=bool(vcfg["one_step_ahead"]),
-            std_ddof=int(vcfg["std_ddof"]),
-        )
-    except Exception as e:
-        raise StageError("validate", e) from e
-    return model, searches, report, offsets
-
-
-def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> Path:
-    try:
-        data = persistence.load_dataset(dataset_path)
-    except Exception as e:
-        raise StageError("load", e) from e
-    model, searches, report, _ = run_identification(data, cfg)
-    model_path = outdir / "model.json"
-    persistence.save_model(model_path, model)
-    report_lines = []
-    for s, search in enumerate(searches):
-        if search is None:
-            report_lines.append(
-                f"structure for {data.output_names[s]}: fixed by configuration\n"
-            )
-        else:
-            report_lines.append(
-                structure.format_search_report(search, data.output_names[s])
-            )
-    (outdir / "structure_report.txt").write_text("\n".join(report_lines))
-    (outdir / "validation_report.txt").write_text(
-        validate.format_validation_report(report)
-    )
-    for s, name in enumerate(data.output_names):
+def _write_validation(report, output_names, outdir: Path) -> Path:
+    out = outdir / "validation_report.txt"
+    out.write_text(validate.format_validation_report(report))
+    for s, name in enumerate(output_names):
         (outdir / f"validation_trace_{name}.txt").write_text(
             validate.format_trace(report, s)
         )
+    return out
+
+
+def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> Path:
+    with stage("load"):
+        data = persistence.load_dataset(dataset_path)
+    result = identify(data, cfg)
+    model_path = outdir / "model.json"
+    persistence.save_model(model_path, result.model)
+    (outdir / "structure_report.txt").write_text("\n".join(
+        f"structure for {name}: fixed by configuration\n" if search is None
+        else structure.format_search_report(search, name)
+        for search, name in zip(result.searches, data.output_names)
+    ))
+    _write_validation(result.report, data.output_names, outdir)
     _write_resolved_config(cfg, outdir)
     return model_path
 
@@ -319,16 +145,8 @@ def cmd_validate(
     deviations, _ = preprocess.prepare_dataset(
         data, preprocess.PreprocessConfig(median_window=1)
     )
-    report = validate.evaluate(
-        model, deviations, one_step_ahead=one_step_ahead, std_ddof=std_ddof
-    )
-    out = outdir / "validation_report.txt"
-    out.write_text(validate.format_validation_report(report))
-    for s, name in enumerate(data.output_names):
-        (outdir / f"validation_trace_{name}.txt").write_text(
-            validate.format_trace(report, s)
-        )
-    return out
+    report = validate.evaluate(model, deviations, one_step_ahead=one_step_ahead, std_ddof=std_ddof)
+    return _write_validation(report, data.output_names, outdir)
 
 
 def cmd_preset(name: str, out_path: str) -> MimoHammersteinModel:
@@ -394,13 +212,8 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(args.model, args.inputs, outdir, args.dataset_out, cfg)
         elif args.command == "validate":
-            cmd_validate(
-                args.model,
-                args.dataset,
-                outdir,
-                one_step_ahead=args.one_step_ahead,
-                std_ddof=int(cfg["validation"]["std_ddof"]),
-            )
+            cmd_validate(args.model, args.dataset, outdir, one_step_ahead=args.one_step_ahead,
+                         std_ddof=int(cfg["validation"]["std_ddof"]))
         return 0
     except Exception as e:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {e}", file=sys.stderr)

@@ -1,0 +1,182 @@
+"""The identification pipeline as one library call, ``identify``.
+
+Each stage runs inside :func:`stage`, which labels any failure with the
+stage's name.  Every layer is called through its module attribute
+(``structure.estimate_delays``, never a name imported from the module), so
+a wrapper installed on that attribute, such as a tracer's, sees every call.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from contextlib import contextmanager
+from dataclasses import dataclass
+
+from . import estimate, preprocess, structure, validate
+from .model import Dataset, MimoHammersteinModel
+
+DEFAULT_CONFIG: dict = {
+    "sample_period": 1.0,
+    "n_samples": 1070,
+    "seed": 1,
+    "hold": 1,
+    "inputs": [
+        {"name": "I_p", "unit": "A", "low": 130.0, "high": 170.0, "step": 2.0,
+         "operating_point": 150.0},
+        {"name": "V_f", "unit": "cm/s", "low": 4.0, "high": 10.0, "step": 1.0,
+         "operating_point": 7.0},
+    ],
+    "outputs": [
+        {"name": "W_b", "unit": "mm"},
+        {"name": "H_f", "unit": "mm"},
+    ],
+    "preprocess": {"median_window": 5, "filter_inputs": False},
+    "delay": {"max_lag": 10},
+    "structure": {
+        "n_max": 6, "m_max": 6, "p_max": 4,
+        "plateau_threshold": structure.DEFAULT_PLATEAU_THRESHOLD,
+        "convergence_floor": structure.DEFAULT_CONVERGENCE_FLOOR,
+    },
+    "estimator": {"method": "batch", "alpha_sq": estimate.DEFAULT_ALPHA_SQ},
+    "fixed_orders": None,
+    "n_train": 1000,
+    "validation": {"one_step_ahead": False, "std_ddof": 0},
+}
+
+
+class StageError(RuntimeError):
+    """Pipeline failure labeled with the stage it came from."""
+
+    def __init__(self, stage: str, error: Exception):
+        super().__init__(f"{stage}: {error}")
+        self.stage = stage
+
+
+@contextmanager
+def stage(name: str):
+    """Run a block as pipeline stage ``name``: any exception becomes a StageError."""
+    try:
+        yield
+    except Exception as e:
+        raise StageError(name, e) from e
+
+
+def _merge(base: dict, user: dict, prefix: str = "") -> None:
+    """Overlay ``user`` on ``base`` in place; a key ``base`` lacks is an error."""
+    for key, value in user.items():
+        if key not in base:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            _merge(base[key], value, f"{prefix}{key}.")
+        else:
+            base[key] = value
+
+
+def load_config(path: str | None, seed: int | None = None) -> dict:
+    """Merge a config file over the defaults; ``seed`` overrides the base seed.
+
+    A key absent from DEFAULT_CONFIG, top-level or nested, is rejected by its
+    dotted name; list entries (``inputs``, ``fixed_orders``) are not checked.
+    """
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    if path is not None:
+        with open(path) as fh:
+            _merge(cfg, json.load(fh))
+    if seed is not None:
+        cfg["seed"] = seed
+    for idx, spec in enumerate(cfg["inputs"]):
+        spec.setdefault("seed", cfg["seed"] + idx)
+    return cfg
+
+
+def _parse_fixed_orders(raw) -> list[estimate.StructureOrders]:
+    return [
+        estimate.StructureOrders(
+            n=int(entry["n"]),
+            channels=tuple(
+                estimate.ChannelOrders(p=int(c["p"]), m=int(c["m"]), d=int(c["d"]))
+                for c in entry["channels"]
+            ),
+        )
+        for entry in raw
+    ]
+
+
+@dataclass(frozen=True)
+class Identification:
+    """Identified model, structure search per output (``None`` where
+    ``fixed_orders`` set the orders) and hold-out validation report."""
+
+    model: MimoHammersteinModel
+    searches: tuple[structure.StructureSearchResult | None, ...]
+    report: validate.ValidationReport
+
+
+def identify(data: Dataset, cfg: dict) -> Identification:
+    """preprocess -> split -> delays -> structure -> estimate -> separate -> validate.
+
+    ``cfg`` is a resolved config (see :func:`load_config`).  Failures raise
+    :class:`StageError` labeled with the stage.
+    """
+    with stage("estimate"):
+        method = cfg["estimator"]["method"]
+        if method not in ("batch", "rls"):
+            raise ValueError(f"unknown estimator method {method!r}")
+
+    with stage("preprocess"):
+        pp = preprocess.PreprocessConfig(
+            median_window=int(cfg["preprocess"]["median_window"]),
+            filter_inputs=bool(cfg["preprocess"]["filter_inputs"]),
+        )
+        deviations, offsets = preprocess.prepare_dataset(data, pp)
+
+    with stage("split"):
+        n_train = int(cfg["n_train"])
+        train, test = validate.split_dataset(deviations, n_train)
+
+    with stage("structure"):
+        if cfg["fixed_orders"] is None:
+            scfg = cfg["structure"]
+            bounds = structure.SearchBounds(
+                n_max=int(scfg["n_max"]), m_max=int(scfg["m_max"]), p_max=int(scfg["p_max"])
+            )
+            searches = []
+            for s in range(train.n_outputs):
+                scan = structure.estimate_delays(
+                    train.inputs, train.outputs[:, s], int(cfg["delay"]["max_lag"])
+                )
+                searches.append(structure.select_structure(
+                    train, s, [est.delay for est in scan], bounds,
+                    plateau_threshold=float(scfg["plateau_threshold"]),
+                    convergence_floor=float(scfg["convergence_floor"]),
+                ))
+            orders_list = [search.selected for search in searches]
+        else:
+            orders_list = _parse_fixed_orders(cfg["fixed_orders"])
+            if len(orders_list) != data.n_outputs:
+                raise ValueError(
+                    f"fixed_orders describe {len(orders_list)} outputs, "
+                    f"dataset has {data.n_outputs}"
+                )
+            searches = [None] * data.n_outputs
+
+    with stage("estimate"):
+        per_output = []
+        for s, orders in enumerate(orders_list):
+            prob = estimate.build_regressor(train, orders, s)
+            if method == "rls":
+                theta = estimate.run_rls(prob, float(cfg["estimator"]["alpha_sq"])).theta
+            else:
+                theta = estimate.batch_ls(prob).theta
+            per_output.append((orders, estimate.separate_parameters(theta, orders)))
+        model = estimate.assemble_model(
+            per_output, data.input_names, data.output_names, operating_point=offsets,
+            metadata={"estimator": method, "n_train": n_train},
+        )
+
+    with stage("validate"):
+        vcfg = cfg["validation"]
+        report = validate.evaluate(model, test, one_step_ahead=bool(vcfg["one_step_ahead"]),
+                                   std_ddof=int(vcfg["std_ddof"]))
+    return Identification(model=model, searches=tuple(searches), report=report)

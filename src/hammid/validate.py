@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .model import Dataset, MimoHammersteinModel, eval_nonlinearity, simulate_mimo
 
@@ -72,21 +73,17 @@ class ValidationReport:
 
 
 def _one_step_prediction(model: MimoHammersteinModel, data: Dataset) -> np.ndarray:
-    """Predict each sample from measured past outputs and the inputs."""
-    N = data.n_samples
-    pred = np.zeros((N, model.n_outputs))
+    """Predict each sample from measured past outputs and the inputs.
+
+    Both terms are FIR filters, of f(u_j) by the delayed numerators and of
+    the measured y by a_1..a_n, with zero history before the first sample.
+    """
+    pred = np.zeros((data.n_samples, model.n_outputs))
     for s, row in enumerate(model.channels):
-        a = np.asarray(row[0].dynamics.a)
-        fir = np.zeros(N)
         for j, ch in enumerate(row):
             v = eval_nonlinearity(ch.nonlinearity, data.inputs[:, j])
-            dyn = ch.dynamics
-            num = np.concatenate([np.zeros(dyn.d), dyn.b])
-            fir += np.convolve(v, num)[:N]
-        y_meas = data.outputs[:, s]
-        for k in range(N):
-            lags = y_meas[max(0, k - len(a)):k][::-1]
-            pred[k, s] = fir[k] - float(a[: len(lags)] @ lags)
+            pred[:, s] += lfilter(np.concatenate([np.zeros(ch.dynamics.d), ch.dynamics.b]), 1.0, v)
+        pred[:, s] -= lfilter(np.concatenate([[0.0], row[0].dynamics.a]), 1.0, data.outputs[:, s])
     return pred
 
 

@@ -181,6 +181,23 @@ class TestIdentify:
         assert err.startswith("error: structure:")
         assert "max_lag" in err or "too short" in err
 
+    @pytest.mark.parametrize("stage, cfg, dataset", [
+        ("load", {}, "missing.csv"),
+        ("preprocess", {"preprocess": {"median_window": 4}}, "oracle.csv"),
+        ("split", {"n_train": 120}, "oracle.csv"),
+        ("structure", {"fixed_orders": FIXED_PRESET_ORDERS[:1]}, "oracle.csv"),
+        ("estimate", {"estimator": {"method": "bogus"}}, "oracle.csv"),
+    ])
+    def test_error_names_stage(self, tmp_path, capsys, stage, cfg, dataset):
+        _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=120)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_train": 100} | cfg))
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(tmp_path / dataset), "--output-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {stage}: ")
+
     def test_linear_synthetic_reports_degree_one(self, tmp_path):
         rng = np.random.default_rng(81)
         u = rng.integers(-4, 5, 800) * 0.5

@@ -1,0 +1,96 @@
+import json
+
+import pytest
+
+import hammid
+from hammid import StageError, estimate, identify, load_config, preprocess, structure, validate
+from hammid.cli import main
+
+from helpers import preset_oracle_dataset
+
+
+def _oracle(n_samples):
+    data = preset_oracle_dataset(n_samples=n_samples)
+    data.operating_point = {"I_p": 0.0, "V_f": 0.0, "W_b": 0.0, "H_f": 0.0}
+    return data
+
+
+def test_identify_matches_cli_model_file(tmp_path):
+    overrides = {"preprocess": {"median_window": 1, "filter_inputs": False}}
+    data = _oracle(1070)
+    result = identify(data, load_config(None) | overrides)
+    assert len(result.searches) == 2 and None not in result.searches
+    assert result.report.predicted.shape == (70, 2)
+
+    dataset_path, cfg_path = tmp_path / "oracle.csv", tmp_path / "cfg.json"
+    hammid.save_dataset(dataset_path, data)
+    cfg_path.write_text(json.dumps(overrides))
+    assert main([
+        "identify", "--config", str(cfg_path), "--dataset", str(dataset_path),
+        "--output-dir", str(tmp_path / "out"),
+    ]) == 0
+    hammid.save_model(tmp_path / "library.json", result.model)
+    assert (tmp_path / "library.json").read_bytes() == (tmp_path / "out" / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["batch", "rls"])
+def test_layers_called_through_module_attributes(monkeypatch, method):
+    # wrappers installed on module attributes (as a tracer does) must see every call
+    layers = [
+        (preprocess, "prepare_dataset"),
+        (structure, "estimate_delays"),
+        (structure, "select_structure"),
+        (estimate, "build_regressor"),
+        (estimate, "batch_ls"),
+        (estimate, "run_rls"),
+        (estimate, "separate_parameters"),
+        (validate, "evaluate"),
+    ]
+    calls = {}
+    for module, attr in layers:
+        original = getattr(module, attr)
+
+        def counted(*args, _name=attr, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    cfg = load_config(None) | {"n_train": 350, "estimator": {"method": method, "alpha_sq": 1e6}}
+    identify(_oracle(400), cfg)
+    solver = "run_rls" if method == "rls" else "batch_ls"
+    assert calls == {"prepare_dataset": 1, "estimate_delays": 2, "select_structure": 2,
+                     "build_regressor": 2, solver: 2, "separate_parameters": 2, "evaluate": 1}
+
+
+def test_unknown_method_rejected_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("delay scan ran before the estimator method was checked")
+
+    monkeypatch.setattr(structure, "estimate_delays", fail)
+    cfg = load_config(None) | {"estimator": {"method": "bogus", "alpha_sq": 1e6}}
+    with pytest.raises(StageError, match="^estimate: unknown estimator method 'bogus'$") as info:
+        identify(_oracle(400), cfg)
+    assert info.value.stage == "estimate"
+
+
+@pytest.mark.parametrize("user, key", [
+    ({"preprocess": {"median_widow": 1}}, "preprocess.median_widow"),
+    ({"n_sample": 500}, "n_sample"),
+    ({"structure": {"n_max": 4, "plateau": 0.1}}, "structure.plateau"),
+])
+def test_unknown_config_key_rejected(tmp_path, user, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        load_config(str(path))
+
+
+def test_list_entries_not_checked(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "inputs": [{"name": "u", "low": -1.0, "high": 1.0, "step": 0.5, "seed": 9, "note": "x"}],
+        "preprocess": {"median_window": 1},
+    }))
+    cfg = load_config(str(path))
+    assert cfg["inputs"][0]["note"] == "x"
+    assert cfg["preprocess"] == {"median_window": 1, "filter_inputs": False}

@@ -8,7 +8,7 @@ from hammid.validate import (
     format_validation_report,
 )
 
-from helpers import preset_oracle_dataset
+from helpers import ORACLE_CHANNELS, preset_oracle_dataset
 
 
 class TestSplit:
@@ -95,6 +95,19 @@ class TestEvaluate:
         free = evaluate(gtaw_pool_model(), data)
         osa = evaluate(gtaw_pool_model(), data, one_step_ahead=True)
         assert not np.array_equal(free.predicted, osa.predicted)
+        # plain loop over the published coefficients, zero history before k = 0
+        ref = np.zeros((200, 2))
+        for s, row in enumerate(ORACLE_CHANNELS):
+            for k in range(200):
+                acc = -sum(ai * data.outputs[k - i, s]
+                           for i, ai in enumerate(row[0][3], start=1) if k - i >= 0)
+                for j, (r, b, d, _a) in enumerate(row):
+                    for l, bl in enumerate(b):
+                        if k - d - l >= 0:
+                            u = data.inputs[k - d - l, j]
+                            acc += bl * (u + sum(ri * u**i for i, ri in enumerate(r, start=2)))
+                ref[k, s] = acc
+        np.testing.assert_allclose(osa.predicted, ref, rtol=0, atol=1e-12)
 
     def test_std_ddof(self):
         rng = np.random.default_rng(63)
