@@ -146,11 +146,8 @@ def format_validation_report(report: ValidationReport) -> str:
 
 def format_trace(report: ValidationReport, output: int) -> str:
     """Column-aligned per-sample trace: index, actual, predicted, error."""
-    lines = [f"index actual predicted error  ({report.outputs[output].name})"]
-    err = report.errors
-    for k in range(report.actual.shape[0]):
-        lines.append(
-            f"{k} {float(report.actual[k, output])!r} "
-            f"{float(report.predicted[k, output])!r} {float(err[k, output])!r}"
-        )
-    return "\n".join(lines) + "\n"
+    actual, predicted = report.actual[:, output], report.predicted[:, output]
+    rows = zip(actual.tolist(), predicted.tolist(), (actual - predicted).tolist())
+    return f"index actual predicted error  ({report.outputs[output].name})\n" + "".join(
+        f"{k} {a!r} {p!r} {e!r}\n" for k, (a, p, e) in enumerate(rows)
+    )

@@ -160,3 +160,10 @@ class TestFormatting:
         assert float(cells[1]) == report.actual[7, 0]
         assert float(cells[2]) == report.predicted[7, 0]
         assert float(cells[3]) == report.actual[7, 0] - report.predicted[7, 0]
+        # per-cell reference: the same bytes as formatting every cell on its own
+        expected = "index actual predicted error  (H_f)\n" + "".join(
+            f"{k} {float(report.actual[k, 1])!r} {float(report.predicted[k, 1])!r} "
+            f"{float(report.errors[k, 1])!r}\n"
+            for k in range(20)
+        )
+        assert format_trace(report, 1) == expected
