@@ -132,11 +132,7 @@ def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> Path:
 
 
 def cmd_validate(
-    model_path: str,
-    dataset_path: str,
-    outdir: Path,
-    one_step_ahead: bool = False,
-    std_ddof: int = 0,
+    model_path: str, dataset_path: str, outdir: Path, vcfg: dict, one_step_ahead: bool
 ) -> Path:
     model = persistence.load_model(model_path)
     data = persistence.load_dataset(dataset_path)
@@ -145,7 +141,8 @@ def cmd_validate(
     deviations, _ = preprocess.prepare_dataset(
         data, preprocess.PreprocessConfig(median_window=1)
     )
-    report = validate.evaluate(model, deviations, one_step_ahead=one_step_ahead, std_ddof=std_ddof)
+    report = validate.evaluate(model, deviations, std_ddof=int(vcfg["std_ddof"]),
+                               one_step_ahead=one_step_ahead or bool(vcfg["one_step_ahead"]))
     return _write_validation(report, data.output_names, outdir)
 
 
@@ -188,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--one-step-ahead", action="store_true",
-                   help="predict from measured past outputs instead of free-run")
+                   help="predict from measured past outputs instead of free-run "
+                        "(default: the config's validation.one_step_ahead)")
 
     p = sub.add_parser("preset", help="write a built-in model file")
     p.add_argument("--name", default="paper-gtaw")
@@ -212,8 +210,7 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(args.model, args.inputs, outdir, args.dataset_out, cfg)
         elif args.command == "validate":
-            cmd_validate(args.model, args.dataset, outdir, one_step_ahead=args.one_step_ahead,
-                         std_ddof=int(cfg["validation"]["std_ddof"]))
+            cmd_validate(args.model, args.dataset, outdir, cfg["validation"], args.one_step_ahead)
         return 0
     except Exception as e:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {e}", file=sys.stderr)

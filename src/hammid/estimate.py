@@ -35,6 +35,7 @@ DEFAULT_ALPHA_SQ = 1e6
 # time, about 0.2 s per output; 32 keeps the (B + d)-square QR below about 96,
 # where a two-thread OpenBLAS geqrf ran 2-5x slower than one thread.
 _BLOCK_ROWS = 32
+_BATCH_RCOND = 1e-10  # singular values below this share of the largest count as zero
 
 
 class RankDeficiencyError(ValueError):
@@ -194,16 +195,16 @@ def _name_offenders(H: np.ndarray, rank: int, column_map) -> list[tuple[str, str
     return offenders
 
 
-def batch_ls(prob: RegressionProblem, rcond: float = 1e-10) -> BatchResult:
+def batch_ls(prob: RegressionProblem) -> BatchResult:
     """Solve min ||y - H theta|| by orthogonal factorization.
 
     Raises :class:`RankDeficiencyError` when the numerical rank (at the
-    given relative cutoff) is below the column count.
+    relative cutoff ``_BATCH_RCOND``) is below the column count.
     """
     H, y = prob.H, prob.y
     if H.shape[1] == 0:
         raise ValueError("regression has no columns")
-    theta, _, rank, sv = np.linalg.lstsq(H, y, rcond=rcond)
+    theta, _, rank, sv = np.linalg.lstsq(H, y, rcond=_BATCH_RCOND)
     if rank < H.shape[1]:
         raise RankDeficiencyError(rank, H.shape[1], _name_offenders(H, rank, prob.column_map))
     resid = y - H @ theta
@@ -216,11 +217,16 @@ def batch_ls(prob: RegressionProblem, rcond: float = 1e-10) -> BatchResult:
 
 @dataclass
 class EstimatorState:
-    """Running estimate theta and covariance-like matrix P."""
+    """Running estimate theta and the upper factor U of P = U'U (P derived)."""
 
     theta: np.ndarray
-    P: np.ndarray
+    U: np.ndarray
     samples_seen: int = 0
+
+    @property
+    def P(self) -> np.ndarray:
+        # numpy computes U'U by a symmetric rank-k product, so P is exactly symmetric
+        return self.U.T @ self.U
 
     @property
     def dim(self) -> int:
@@ -236,7 +242,7 @@ class EstimatorState:
 
 
 def init_estimator(dim: int, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
-    """Start from theta = 0 and P = alpha_sq * I.
+    """Start from theta = 0 and P = alpha_sq * I (U = sqrt(alpha_sq) * I).
 
     alpha_sq is expected in [1e5, 1e10]; values outside are accepted with a
     warning since they merely weaken or harden the zero prior.
@@ -251,7 +257,7 @@ def init_estimator(dim: int, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorSta
             f"alpha_sq={alpha_sq:g} outside the recommended bracket [{lo:g}, {hi:g}]",
             stacklevel=2,
         )
-    return EstimatorState(theta=np.zeros(dim), P=alpha_sq * np.eye(dim))
+    return EstimatorState(theta=np.zeros(dim), U=np.sqrt(alpha_sq) * np.eye(dim))
 
 
 def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
@@ -260,24 +266,18 @@ def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
     theta' = theta + P phi (1 + phi' P phi)^-1 (y - phi' theta)
     P'     = P - P phi (1 + phi' P phi)^-1 phi' P
 
-    P is re-symmetrized after the update to keep round-off from drifting it.
-    :func:`run_rls` applies the same recursion to many rows at once.
+    Computed as the one-row case of :func:`_block_update` on the factor U,
+    so P stays positive definite; :func:`run_rls` applies it to many rows.
     """
     phi = np.asarray(phi, dtype=float).ravel()
     if phi.shape != state.theta.shape:
         raise ValueError(f"regressor dim {phi.shape} != state dim {state.theta.shape}")
     if not (np.all(np.isfinite(phi)) and np.isfinite(y_k)):
         raise ValueError("non-finite regressor or target")
-    Pphi = state.P @ phi
-    denom = 1.0 + float(phi @ Pphi)
-    gain = Pphi / denom
-    theta = state.theta + gain * (y_k - float(phi @ state.theta))
-    P = state.P - np.outer(gain, Pphi)
-    P = 0.5 * (P + P.T)
-    return EstimatorState(theta=theta, P=P, samples_seen=state.samples_seen + 1)
+    return _block_update(state, phi[None, :], [y_k])
 
 
-def _block_update(theta: np.ndarray, U: np.ndarray, Phi: np.ndarray, y: np.ndarray):
+def _block_update(state: EstimatorState, Phi: np.ndarray, y) -> EstimatorState:
     """Rank-B update of theta and of the upper factor U of P = U'U by B rows Phi.
 
     One QR of the (B+d)-square pre-array
@@ -291,6 +291,7 @@ def _block_update(theta: np.ndarray, U: np.ndarray, Phi: np.ndarray, y: np.ndarr
     square-root (array) form: P itself is never updated, so round-off cannot
     make it indefinite.
     """
+    theta, U = state.theta, state.U
     B, d = Phi.shape
     M = np.zeros((B + d, B + d), order="F")
     M[:B, :B] = np.eye(B)
@@ -300,26 +301,24 @@ def _block_update(theta: np.ndarray, U: np.ndarray, Phi: np.ndarray, y: np.ndarr
     # reflectors below it, so only R's upper blocks are read as they are.
     R = scipy.linalg.lapack.dgeqrf(M, overwrite_a=True)[0]
     w = scipy.linalg.solve_triangular(R[:B, :B], y - Phi @ theta, trans="T", check_finite=False)
-    return theta + w @ R[:B, B:], np.triu(R[B:, B:])
+    return EstimatorState(theta + w @ R[:B, B:], np.triu(R[B:, B:]), state.samples_seen + B)
 
 
 def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
     """Feed every row of a regression problem through the recursion.
 
-    Rows go in blocks of ``_BLOCK_ROWS``, each one exact rank-B update of
-    theta and a square-root factor of P (:func:`_block_update`); in exact
-    arithmetic the state equals that of one :func:`rls_update` per row.
+    Rows go in blocks of ``_BLOCK_ROWS``, each one exact rank-B update by
+    :func:`_block_update`; in exact arithmetic the state equals that of one
+    :func:`rls_update` per row.
     """
     H, y = prob.H, prob.y
     finite = np.isfinite(H).all(axis=1) & np.isfinite(y)
     if not finite.all():
         raise ValueError(f"non-finite regressor or target in row {int(np.argmin(finite))}")
-    theta = init_estimator(prob.n_columns, alpha_sq).theta  # checks dim and alpha_sq
-    U = np.sqrt(alpha_sq) * np.eye(prob.n_columns)
+    state = init_estimator(prob.n_columns, alpha_sq)
     for k in range(0, prob.n_rows, _BLOCK_ROWS):
-        theta, U = _block_update(theta, U, H[k:k + _BLOCK_ROWS], y[k:k + _BLOCK_ROWS])
-    # numpy computes U'U by a symmetric rank-k product, so P is exactly symmetric
-    return EstimatorState(theta=theta, P=U.T @ U, samples_seen=prob.n_rows)
+        state = _block_update(state, H[k:k + _BLOCK_ROWS], y[k:k + _BLOCK_ROWS])
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,10 @@ def load_series(path) -> tuple[np.ndarray, str]:
         cells = line.split(",")
         if len(cells) != 2:
             raise FileFormatError(path, i, f"expected 2 columns, got {len(cells)}")
-        values.append(_parse_float(cells[1], path, i, "value"))
+        value = _parse_float(cells[1], path, i, "value")
+        if not np.isfinite(value):
+            raise FileFormatError(path, i, f"non-finite value: {value}")
+        values.append(value)
     if not values:
         raise FileFormatError(path, None, "series has no samples")
     return np.array(values), name
@@ -266,6 +269,8 @@ def load_model(path) -> MimoHammersteinModel:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(path, e.lineno, f"invalid JSON: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise FileFormatError(path, None, f"expected a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise FileFormatError(
@@ -283,12 +288,13 @@ def load_model(path) -> MimoHammersteinModel:
             operating_point=dict(doc.get("operating_point", {})),
             metadata=dict(doc.get("metadata", {})),
         )
+        arity = (doc["n_inputs"], doc["n_outputs"])
     except KeyError as e:
         raise FileFormatError(path, None, f"missing field {e}") from None
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         if isinstance(e, FileFormatError):
             raise
         raise FileFormatError(path, None, str(e)) from None
-    if model.n_inputs != doc["n_inputs"] or model.n_outputs != doc["n_outputs"]:
+    if arity != (model.n_inputs, model.n_outputs):
         raise FileFormatError(path, None, "stated arity does not match the channel grid")
     return model

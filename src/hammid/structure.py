@@ -39,6 +39,9 @@ DEFAULT_PLATEAU_THRESHOLD = 0.02
 DEFAULT_CONVERGENCE_FLOOR = 3e-6
 _EXACT_FIT_FLOOR = 1e-12  # relative to output power: treat as a perfect fit
 _DELAY_JUMP_TOL = 0.2
+_DELAY_N_FIT = 8  # output lags of the delay-scan regression
+_DELAY_P_FIT = 4  # input powers of the delay-scan regression
+_DELAY_PAD = 8  # numerator lags past max_lag in every input's block
 
 
 class AugmentationError(ValueError):
@@ -171,14 +174,7 @@ def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float
     return peak
 
 
-def estimate_delays(
-    inputs,
-    y,
-    max_lag: int,
-    n_fit: int = 8,
-    p_fit: int = 4,
-    pad: int = 8,
-) -> list[DelayEstimate]:
+def estimate_delays(inputs, y, max_lag: int) -> list[DelayEstimate]:
     """Estimate the input-output delay of every input against one output.
 
     For each input, lagged-power blocks of all inputs plus lagged outputs
@@ -204,9 +200,9 @@ def estimate_delays(
         raise ValueError(f"max_lag must lie in [0, N/4), got {max_lag}")
     if np.ptp(y) == 0:
         raise ValueError("constant output series")
-    span = max_lag + pad
-    start = max(n_fit, span)
-    full = _uniform_orders(n_fit, span, p_fit, [0] * U.shape[1])
+    span = max_lag + _DELAY_PAD
+    start = max(_DELAY_N_FIT, span)
+    full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * U.shape[1])
     if len(y) - start <= full.n_parameters:
         raise ValueError(
             f"series of length {len(y)} too short for the delay scan "
@@ -243,9 +239,9 @@ def estimate_delays(
     return results
 
 
-def estimate_delay(u, y, max_lag: int, **kwargs) -> DelayEstimate:
+def estimate_delay(u, y, max_lag: int) -> DelayEstimate:
     """Single-input version of :func:`estimate_delays`."""
-    return estimate_delays(np.asarray(u, dtype=float).reshape(-1, 1), y, max_lag, **kwargs)[0]
+    return estimate_delays(np.asarray(u, dtype=float).reshape(-1, 1), y, max_lag)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,19 @@ class TestSimulate:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_finite_input_names_line(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        ip, vf = self._write_inputs(tmp_path, np.full(5, 150.0), np.full(5, 7.0))
+        ip.write_text(ip.read_text().replace("2,150.0", "2,nan"))  # file line 6
+        outdir = tmp_path / "out"
+        assert main([
+            "simulate", "--model", str(model_path), "--inputs", str(ip), str(vf),
+            "--output-dir", str(outdir),
+        ]) == 1
+        assert f"{ip}:6: non-finite value" in capsys.readouterr().err
+        assert not (outdir / "simulated_outputs.txt").exists()
+
     def test_dataset_out_is_identifiable(self, tmp_path):
         model_path = tmp_path / "m.json"
         main(["preset", "--output", str(model_path)])
@@ -280,3 +293,18 @@ class TestValidateCommand:
             "--output-dir", str(outdir), "--one-step-ahead",
         ]) == 0
         assert "one-step-ahead" in (outdir / "validation_report.txt").read_text()
+
+    def test_one_step_ahead_from_config(self, tmp_path):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        dataset_path = tmp_path / "oracle.csv"
+        _write_oracle_dataset(dataset_path, n_samples=120)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"validation": {"one_step_ahead": True}}))
+        outdir = tmp_path / "out"
+        assert main([
+            "validate", "--model", str(model_path), "--dataset", str(dataset_path),
+            "--config", str(cfg_path), "--output-dir", str(outdir),
+        ]) == 0
+        header = (outdir / "validation_report.txt").read_text().splitlines()[0]
+        assert "one-step-ahead" in header

@@ -68,6 +68,14 @@ class TestSeries:
         with pytest.raises(FileFormatError, match="bad.txt:5"):
             load_series(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_cites_line(self, tmp_path, cell):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# hammid series v1\n# signal: u\nindex,value\n0,1.0\n1,{cell}\n")
+        with pytest.raises(FileFormatError, match="bad.txt:5: non-finite value") as err:
+            load_series(path)
+        assert err.value.line == 5
+
 
 class TestDatasetFiles:
     def test_three_row_file(self, tmp_path):
@@ -229,4 +237,24 @@ class TestModelFiles:
         doc["channels"][0][0]["p"] = 7
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match="degree"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc.pop("n_inputs"), "missing field 'n_inputs'", id="n_inputs"),
+        pytest.param(lambda doc: doc.pop("n_outputs"), "missing field 'n_outputs'", id="n_outputs"),
+        pytest.param(lambda doc: doc.update(channels=5), "not iterable", id="channels"),
+    ])
+    def test_missing_or_mistyped_field_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(path, gtaw_pool_model())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=message):
+            load_model(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(FileFormatError, match="expected a JSON object, got list"):
             load_model(path)
