@@ -66,12 +66,7 @@ def cmd_simulate(
         raise ValueError(
             f"model expects {model.n_inputs} input files, got {len(input_paths)}"
         )
-    series = []
-    names = []
-    for p in input_paths:
-        values, name = persistence.load_series(p)
-        series.append(values)
-        names.append(name)
+    series, names = zip(*(persistence.load_series(p) for p in input_paths))
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ValueError(f"input series lengths differ: {sorted(lengths)}")
@@ -81,10 +76,7 @@ def cmd_simulate(
     ]
     outputs = simulate_mimo(model, np.column_stack(deviations))
     trace = outdir / "simulated_outputs.txt"
-    lines = ["# hammid trace v1", "index," + ",".join(model.output_names)]
-    for k in range(outputs.shape[0]):
-        lines.append(f"{k}," + ",".join(repr(float(v)) for v in outputs[k]))
-    trace.write_text("\n".join(lines) + "\n")
+    persistence.save_trace(trace, model.output_names, outputs)
     if dataset_out is not None:
         cfg = cfg or load_config(None)
         units = {s["name"]: s.get("unit", "") for s in cfg["inputs"] + cfg.get("outputs", [])}

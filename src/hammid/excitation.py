@@ -47,32 +47,23 @@ class AmplitudeGrid:
 
 @dataclass(frozen=True)
 class LcgState:
-    """State of the recurrence x' = (multiplier * x) mod modulus."""
+    """State of the recurrence x' = (MINSTD_MULTIPLIER * x) mod MINSTD_MODULUS."""
 
     state: int
-    multiplier: int = MINSTD_MULTIPLIER
-    modulus: int = MINSTD_MODULUS
 
     def __post_init__(self):
-        if not 1 <= self.state <= self.modulus - 1:
-            raise ValueError(
-                f"state must lie in [1, {self.modulus - 1}], got {self.state}"
-            )
+        if not 1 <= self.state <= MINSTD_MODULUS - 1:
+            raise ValueError(f"state must lie in [1, {MINSTD_MODULUS - 1}], got {self.state}")
 
 
 def lcg_next(s: LcgState) -> tuple[LcgState, float]:
     """Advance the generator one step; returns the new state and a uniform in [0, 1)."""
-    nxt = (s.multiplier * s.state) % s.modulus
-    return LcgState(nxt, s.multiplier, s.modulus), nxt / s.modulus
+    nxt = (MINSTD_MULTIPLIER * s.state) % MINSTD_MODULUS
+    return LcgState(nxt), nxt / MINSTD_MODULUS
 
 
 def generate_excitation(
-    grid: AmplitudeGrid,
-    n_samples: int,
-    seed: int,
-    hold: int = 1,
-    multiplier: int = MINSTD_MULTIPLIER,
-    modulus: int = MINSTD_MODULUS,
+    grid: AmplitudeGrid, n_samples: int, seed: int, hold: int = 1
 ) -> np.ndarray:
     """Draw ``n_samples`` grid levels; each drawn level is held ``hold`` samples.
 
@@ -83,7 +74,7 @@ def generate_excitation(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if hold < 1:
         raise ValueError(f"hold must be >= 1, got {hold}")
-    state = LcgState(seed, multiplier, modulus)  # rejects zero/invalid seeds
+    state = LcgState(seed)  # rejects zero/invalid seeds
     levels = grid.n_levels
     out = np.empty(n_samples)
     k = 0

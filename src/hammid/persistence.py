@@ -1,27 +1,34 @@
-"""Dataset, model, and series file I/O.
+"""Dataset, series, simulated-trace and model file I/O.
 
 All formats are plain text with full shortest-round-trip decimal numbers
 (Python ``repr`` of a float), so load(save(x)) reproduces x bit for bit.
+Every number read, header values and model JSON included, must be finite.
 
-Dataset format (comma separated, LF newlines)::
+The text tables share one layout (comma separated, LF newlines): a magic
+line, ``# key: value`` lines, an ``index,<names>`` column header, then one
+row per sample.  Dataset (``units`` and ``operating_point`` optional)::
 
     # hammid dataset v1
     # sample_period: 1.0
     # inputs: I_p,V_f
     # outputs: W_b,H_f
-    # units: I_p=A,V_f=cm/s            (optional)
-    # operating_point: I_p=150.0       (optional)
+    # units: I_p=A,V_f=cm/s
+    # operating_point: I_p=150.0
     index,I_p,V_f,W_b,H_f
     0,148.0,9.0,0.01,0.0
-    ...
 
-Series format (one signal, e.g. an excitation schedule)::
+Series (one signal, e.g. an excitation schedule)::
 
     # hammid series v1
     # signal: I_p
     index,value
     0,148.0
-    ...
+
+Simulated trace (the outputs ``hammid simulate`` computes)::
+
+    # hammid trace v1
+    index,W_b,H_f
+    0,0.0,0.0
 
 Model files are JSON with a ``schema_version`` field; unknown versions are
 rejected.  Channels are stored per output row as {p, r, n, a, m, b, d}.
@@ -30,6 +37,7 @@ rejected.  Channels are stored per output row as {p, r, n, a, m, b, d}.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +53,7 @@ from .model import (
 MODEL_SCHEMA_VERSION = 1
 _DATASET_MAGIC = "# hammid dataset v1"
 _SERIES_MAGIC = "# hammid series v1"
+_TRACE_MAGIC = "# hammid trace v1"
 
 
 class FileFormatError(ValueError):
@@ -57,18 +66,17 @@ class FileFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _parse_float(cell: str, path, line: int, what: str) -> float:
+def _parse_float(cell: str, path, line: int | None, what: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise FileFormatError(path, line, f"non-numeric {what}: {cell!r}") from None
+    if not math.isfinite(value):
+        raise FileFormatError(path, line, f"non-finite {what}: {cell}")
+    return value
 
 
-def _parse_mapping(text: str, path, line: int) -> dict:
+def _parse_mapping(path, line: int | None, text: str) -> dict:
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -82,139 +90,128 @@ def _parse_mapping(text: str, path, line: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Single series
+# Text tables
 
-def save_series(path, values, name: str = "value") -> None:
-    values = np.asarray(values, dtype=float)
-    lines = [_SERIES_MAGIC, f"# signal: {name}", "index,value"]
-    lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(values))
+def _write_table(path, magic: str, meta: dict, names, table) -> None:
+    """Write ``magic``, one ``# key: value`` line per ``meta`` item, the
+    ``index,<names>`` header and one ``repr`` row per row of ``table``."""
+    lines = [magic, *(f"# {key}: {value}" for key, value in meta.items()),
+             "index," + ",".join(names)]
+    rows = np.asarray(table, dtype=float).tolist()
+    lines.extend(f"{k}," + ",".join(map(repr, row)) for k, row in enumerate(rows))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_series(path) -> tuple[np.ndarray, str]:
+def _read_table(path, magic: str):
+    """Parse a file written by :func:`_write_table`.
+
+    Returns ``(meta, header_line, names, table)``: ``meta`` maps each
+    ``# key: value`` key to its (line number, value text), ``names`` are the
+    header's columns after ``index`` and ``table`` is the finite
+    ``(rows, len(names))`` array.  The index column is not read.
+    """
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _SERIES_MAGIC:
-        raise FileFormatError(path, 1, f"missing header {_SERIES_MAGIC!r}")
-    name = "value"
-    row_start = None
-    for i, line in enumerate(lines[1:], start=2):
-        if line.startswith("# signal:"):
-            name = line.split(":", 1)[1].strip()
-        elif line == "index,value":
-            row_start = i
-            break
-        elif not line.startswith("#"):
-            raise FileFormatError(path, i, "expected 'index,value' column header")
-    if row_start is None:
-        raise FileFormatError(path, None, "no 'index,value' column header")
-    values = []
-    for i, line in enumerate(lines[row_start:], start=row_start + 1):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise FileFormatError(path, i, f"expected 2 columns, got {len(cells)}")
-        value = _parse_float(cells[1], path, i, "value")
-        if not np.isfinite(value):
-            raise FileFormatError(path, i, f"non-finite value: {value}")
-        values.append(value)
-    if not values:
-        raise FileFormatError(path, None, "series has no samples")
-    return np.array(values), name
-
-
-# ---------------------------------------------------------------------------
-# Datasets
-
-def save_dataset(path, data: Dataset) -> None:
-    lines = [_DATASET_MAGIC]
-    lines.append(f"# sample_period: {_fmt(data.sample_period)}")
-    lines.append(f"# inputs: {','.join(data.input_names)}")
-    lines.append(f"# outputs: {','.join(data.output_names)}")
-    if data.units:
-        pairs = ",".join(f"{k}={v}" for k, v in data.units.items())
-        lines.append(f"# units: {pairs}")
-    if data.operating_point:
-        pairs = ",".join(f"{k}={_fmt(v)}" for k, v in data.operating_point.items())
-        lines.append(f"# operating_point: {pairs}")
-    names = data.input_names + data.output_names
-    lines.append("index," + ",".join(names))
-    table = np.hstack([data.inputs, data.outputs])
-    for k in range(data.n_samples):
-        lines.append(f"{k}," + ",".join(_fmt(v) for v in table[k]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _DATASET_MAGIC:
-        raise FileFormatError(path, 1, f"missing header {_DATASET_MAGIC!r}")
-    sample_period = None
-    input_names: tuple[str, ...] | None = None
-    output_names: tuple[str, ...] | None = None
-    units: dict = {}
-    operating_point: dict = {}
-    row_start = None
-    for i, line in enumerate(lines[1:], start=2):
-        if line.startswith("# sample_period:"):
-            sample_period = _parse_float(
-                line.split(":", 1)[1].strip(), path, i, "sample_period"
-            )
-        elif line.startswith("# inputs:"):
-            input_names = tuple(
-                s.strip() for s in line.split(":", 1)[1].split(",") if s.strip()
-            )
-        elif line.startswith("# outputs:"):
-            output_names = tuple(
-                s.strip() for s in line.split(":", 1)[1].split(",") if s.strip()
-            )
-        elif line.startswith("# units:"):
-            units = _parse_mapping(line.split(":", 1)[1], path, i)
-        elif line.startswith("# operating_point:"):
-            raw = _parse_mapping(line.split(":", 1)[1], path, i)
-            operating_point = {
-                k: _parse_float(v, path, i, "operating point") for k, v in raw.items()
-            }
-        elif line.startswith("#"):
-            continue
-        else:
-            row_start = i
-            break
-    if sample_period is None:
-        raise FileFormatError(path, None, "missing '# sample_period:' line")
-    if sample_period <= 0:
-        raise FileFormatError(path, None, f"sample_period must be > 0, got {sample_period}")
-    if input_names is None or output_names is None:
-        raise FileFormatError(path, None, "missing '# inputs:' or '# outputs:' line")
-    if row_start is None:
-        raise FileFormatError(path, None, "no column header row")
-    expected = "index," + ",".join(input_names + output_names)
-    if lines[row_start - 1] != expected:
-        raise FileFormatError(
-            path, row_start, f"column header {lines[row_start - 1]!r} != {expected!r}"
-        )
-    n_cols = 1 + len(input_names) + len(output_names)
+    if not lines or lines[0] != magic:
+        raise FileFormatError(path, 1, f"missing header {magic!r}")
+    meta = {}
+    i = 1
+    while i < len(lines) and lines[i].startswith("#"):
+        key, colon, value = lines[i][1:].partition(":")
+        if colon:
+            meta[key.strip()] = (i + 1, value.strip())
+        i += 1
+    header = lines[i].split(",") if i < len(lines) else None
+    if header is None or header[0] != "index":
+        where = i + 1 if header else None
+        raise FileFormatError(path, where, "expected an 'index,...' column header")
+    names = tuple(header[1:])
     rows = []
-    for i, line in enumerate(lines[row_start:], start=row_start + 1):
+    for line_no, line in enumerate(lines[i + 1:], start=i + 2):
         cells = line.split(",")
-        if len(cells) != n_cols:
-            raise FileFormatError(path, i, f"expected {n_cols} columns, got {len(cells)}")
-        rows.append([_parse_float(c, path, i, "cell") for c in cells[1:]])
+        if len(cells) != len(header):
+            raise FileFormatError(
+                path, line_no, f"expected {len(header)} columns, got {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells[1:]])
+        except ValueError:
+            for name, cell in zip(names, cells[1:]):
+                _parse_float(cell, path, line_no, name)
+            raise
     if not rows:
-        raise FileFormatError(path, None, "dataset has no rows")
+        raise FileFormatError(path, None, "no data rows")
     table = np.array(rows)
     bad = ~np.isfinite(table)
     if bad.any():
         k, j = np.argwhere(bad)[0]
-        name = (input_names + output_names)[j]
-        raise FileFormatError(path, row_start + 1 + int(k), f"non-finite {name}: {table[k, j]}")
-    r = len(input_names)
+        raise FileFormatError(path, i + 2 + int(k), f"non-finite {names[j]}: {table[k, j]}")
+    return meta, i + 1, names, table
+
+
+def save_series(path, values, name: str = "value") -> None:
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    _write_table(path, _SERIES_MAGIC, {"signal": name}, ("value",), values)
+
+
+def load_series(path) -> tuple[np.ndarray, str]:
+    meta, header_line, names, table = _read_table(path, _SERIES_MAGIC)
+    if names != ("value",):
+        raise FileFormatError(path, header_line, "expected 'index,value' column header")
+    return table.ravel(), meta.get("signal", (None, "value"))[1]
+
+
+def save_trace(path, output_names, outputs) -> None:
+    """Write simulated outputs, one column per output name."""
+    _write_table(path, _TRACE_MAGIC, {}, output_names, outputs)
+
+
+def save_dataset(path, data: Dataset) -> None:
+    meta = {
+        "sample_period": repr(float(data.sample_period)),
+        "inputs": ",".join(data.input_names),
+        "outputs": ",".join(data.output_names),
+    }
+    optional = {
+        "units": ",".join(f"{k}={v}" for k, v in data.units.items()),
+        "operating_point": ",".join(
+            f"{k}={float(v)!r}" for k, v in data.operating_point.items()
+        ),
+    }
+    meta |= {key: value for key, value in optional.items() if value}
+    _write_table(path, _DATASET_MAGIC, meta, data.input_names + data.output_names,
+                 np.hstack([data.inputs, data.outputs]))
+
+
+def load_dataset(path) -> Dataset:
+    meta, header_line, names, table = _read_table(path, _DATASET_MAGIC)
+    for key in ("sample_period", "inputs", "outputs"):
+        if key not in meta:
+            raise FileFormatError(path, None, f"missing '# {key}:' line")
+    line, text = meta["sample_period"]
+    sample_period = _parse_float(text, path, line, "sample_period")
+    if sample_period <= 0:
+        raise FileFormatError(path, line, f"sample_period must be > 0, got {sample_period}")
+    inputs, outputs = (
+        tuple(s.strip() for s in meta[key][1].split(",") if s.strip())
+        for key in ("inputs", "outputs")
+    )
+    if names != inputs + outputs:
+        raise FileFormatError(path, header_line, f"columns {','.join(names)!r} != "
+                              f"inputs and outputs {','.join(inputs + outputs)!r}")
+    units, raw_op = (
+        _parse_mapping(path, *meta.get(key, (None, ""))) for key in ("units", "operating_point")
+    )
+    op_line = meta.get("operating_point", (None,))[0]
     return Dataset(
         sample_period=sample_period,
-        inputs=table[:, :r],
-        outputs=table[:, r:],
-        input_names=input_names,
-        output_names=output_names,
+        inputs=table[:, :len(inputs)],
+        outputs=table[:, len(inputs):],
+        input_names=inputs,
+        output_names=outputs,
         units=units,
-        operating_point=operating_point,
+        operating_point={
+            k: _parse_float(v, path, op_line, f"operating point {k}") for k, v in raw_op.items()
+        },
     )
 
 
@@ -265,8 +262,12 @@ def save_model(path, model: MimoHammersteinModel) -> None:
 
 def load_model(path) -> MimoHammersteinModel:
     text = Path(path).read_text()
+
+    def number(cell):
+        return _parse_float(cell, path, None, "number")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=number, parse_constant=number)
     except json.JSONDecodeError as e:
         raise FileFormatError(path, e.lineno, f"invalid JSON: {e.msg}") from None
     if not isinstance(doc, dict):

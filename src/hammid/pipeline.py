@@ -62,13 +62,25 @@ def stage(name: str):
         raise StageError(name, e) from e
 
 
+# accepted besides equal types: an integer for a real, and a list for
+# ``fixed_orders``, whose default is null
+_WIDENINGS = {(int, float), (list, type(None))}
+
+
 def _merge(base: dict, user: dict, prefix: str = "") -> None:
-    """Overlay ``user`` on ``base`` in place; a key ``base`` lacks is an error."""
+    """Overlay ``user`` on ``base`` in place; a key ``base`` lacks, or a value
+    whose JSON type differs from the default's, is an error."""
     for key, value in user.items():
+        name = prefix + key
         if key not in base:
-            raise ValueError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            _merge(base[key], value, f"{prefix}{key}.")
+            raise ValueError(f"unknown config key {name!r}")
+        have, want = type(value), type(base[key])
+        if have is not want and (have, want) not in _WIDENINGS:
+            raise ValueError(
+                f"config key {name!r} must be {want.__name__}, got {have.__name__} {value!r}"
+            )
+        if isinstance(value, dict):
+            _merge(base[key], value, f"{name}.")
         else:
             base[key] = value
 
@@ -76,8 +88,10 @@ def _merge(base: dict, user: dict, prefix: str = "") -> None:
 def load_config(path: str | None, seed: int | None = None) -> dict:
     """Merge a config file over the defaults; ``seed`` overrides the base seed.
 
-    A key absent from DEFAULT_CONFIG, top-level or nested, is rejected by its
-    dotted name; list entries (``inputs``, ``fixed_orders``) are not checked.
+    A key absent from DEFAULT_CONFIG, top-level or nested, or a value whose
+    JSON type differs from its default's, is rejected by its dotted name; an
+    integer may stand for a real and a list for ``fixed_orders``.  List
+    entries (``inputs``, ``fixed_orders``) are not checked.
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:

@@ -132,6 +132,21 @@ class TestSimulate:
         assert f"{ip}:6: non-finite value" in capsys.readouterr().err
         assert not (outdir / "simulated_outputs.txt").exists()
 
+    def test_non_finite_model_coefficient_fails(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        doc = json.loads(model_path.read_text())
+        doc["channels"][0][0]["b"][0] = "NaN"
+        model_path.write_text(json.dumps(doc).replace('"NaN"', "NaN"))
+        ip, vf = self._write_inputs(tmp_path, np.full(5, 150.0), np.full(5, 7.0))
+        outdir = tmp_path / "out"
+        assert main([
+            "simulate", "--model", str(model_path), "--inputs", str(ip), str(vf),
+            "--output-dir", str(outdir),
+        ]) == 1
+        assert f"{model_path}: non-finite number: NaN" in capsys.readouterr().err
+        assert not (outdir / "simulated_outputs.txt").exists()
+
     def test_dataset_out_is_identifiable(self, tmp_path):
         model_path = tmp_path / "m.json"
         main(["preset", "--output", str(model_path)])

@@ -18,6 +18,7 @@ from hammid import (
     save_model,
     save_series,
 )
+from hammid.cli import main
 
 from helpers import preset_oracle_dataset
 
@@ -44,6 +45,71 @@ def _random_model(rng):
         operating_point={"u0": float(rng.normal())},
         metadata={"note": "randomized round-trip case"},
     )
+
+
+def _write_golden_series(tmp_path):
+    save_series(tmp_path / "s.txt", [0.1 + 0.2, -0.0, 1e-300], name="I_p")
+    return tmp_path / "s.txt"
+
+
+def _write_golden_dataset(tmp_path):
+    data = Dataset(
+        sample_period=0.5,
+        inputs=np.array([[0.1 + 0.2], [-0.0], [1e-300]]),
+        outputs=np.array([[1.0, -2.5], [3e8, 1 / 3], [-1e-5, 7.0]]),
+        input_names=("I_p",),
+        output_names=("W_b", "H_f"),
+        units={"I_p": "A", "W_b": "mm"},
+        operating_point={"I_p": 150.0, "W_b": 0.1 + 0.2},
+    )
+    save_dataset(tmp_path / "d.csv", data)
+    return tmp_path / "d.csv"
+
+
+def _write_golden_trace(tmp_path):
+    main(["preset", "--output", str(tmp_path / "m.json")])
+    save_series(tmp_path / "ip.txt", [152.0, 148.0, 150.0], name="I_p")
+    save_series(tmp_path / "vf.txt", [8.0, 7.0, 6.0], name="V_f")
+    assert main([
+        "simulate", "--model", str(tmp_path / "m.json"),
+        "--inputs", str(tmp_path / "ip.txt"), str(tmp_path / "vf.txt"),
+        "--output-dir", str(tmp_path),
+    ]) == 0
+    return tmp_path / "simulated_outputs.txt"
+
+
+@pytest.mark.parametrize("write, text", [
+    pytest.param(_write_golden_series, (
+        "# hammid series v1\n"
+        "# signal: I_p\n"
+        "index,value\n"
+        "0,0.30000000000000004\n"
+        "1,-0.0\n"
+        "2,1e-300\n"
+    ), id="series"),
+    pytest.param(_write_golden_dataset, (
+        "# hammid dataset v1\n"
+        "# sample_period: 0.5\n"
+        "# inputs: I_p\n"
+        "# outputs: W_b,H_f\n"
+        "# units: I_p=A,W_b=mm\n"
+        "# operating_point: I_p=150.0,W_b=0.30000000000000004\n"
+        "index,I_p,W_b,H_f\n"
+        "0,0.30000000000000004,1.0,-2.5\n"
+        "1,-0.0,300000000.0,0.3333333333333333\n"
+        "2,1e-300,-1e-05,7.0\n"
+    ), id="dataset"),
+    pytest.param(_write_golden_trace, (
+        "# hammid trace v1\n"
+        "index,W_b,H_f\n"
+        "0,0.0,0.0\n"
+        "1,0.014887766560000001,0.0\n"
+        "2,0.012411486495156802,0.0\n"
+    ), id="simulated-trace"),
+])
+def test_golden_file_text(tmp_path, write, text):
+    """Pins the exact bytes of every text data file the package writes."""
+    assert write(tmp_path).read_bytes() == text.encode()
 
 
 class TestSeries:
@@ -178,6 +244,19 @@ class TestDatasetFiles:
         with pytest.raises(FileFormatError, match="sample_period"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line", [
+        "# sample_period: inf", "# sample_period: nan", "# operating_point: u=nan",
+    ])
+    def test_non_finite_header_value_cites_line(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# hammid dataset v1\n# sample_period: 1.0\n# inputs: u\n# outputs: y\n"
+            f"{line}\nindex,u,y\n0,1.0,2.0\n"
+        )
+        with pytest.raises(FileFormatError, match="bad.csv:5: non-finite") as err:
+            load_dataset(path)
+        assert err.value.line == 5
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("index,u,y\n0,1.0,2.0\n")
@@ -251,6 +330,23 @@ class TestModelFiles:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("where, number", [
+        pytest.param(("channels", 0, 0, "b", 0), "NaN", id="coefficient-nan"),
+        pytest.param(("operating_point", "I_p"), "-Infinity", id="operating-point-inf"),
+        pytest.param(("channels", 1, 0, "a", 0), "1e999", id="overflowing-literal"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, where, number):
+        path = tmp_path / "model.json"
+        save_model(path, gtaw_pool_model())
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = "NON-FINITE"
+        path.write_text(json.dumps(doc).replace('"NON-FINITE"', number))
+        with pytest.raises(FileFormatError, match=f"non-finite number: {number}"):
             load_model(path)
 
     def test_non_object_document_rejected(self, tmp_path):

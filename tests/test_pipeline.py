@@ -94,3 +94,26 @@ def test_list_entries_not_checked(tmp_path):
     cfg = load_config(str(path))
     assert cfg["inputs"][0]["note"] == "x"
     assert cfg["preprocess"] == {"median_window": 1, "filter_inputs": False}
+
+
+@pytest.mark.parametrize("user, message", [
+    pytest.param({"validation": {"one_step_ahead": "false"}},
+                 "config key 'validation.one_step_ahead' must be bool, got str 'false'",
+                 id="string-bool"),
+    pytest.param({"preprocess": {"median_window": 5.0}},
+                 "config key 'preprocess.median_window' must be int, got float 5.0",
+                 id="real-for-int"),
+    pytest.param({"structure": 4}, "config key 'structure' must be dict, got int 4",
+                 id="scalar-for-section"),
+])
+def test_mistyped_config_value_rejected(tmp_path, user, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_config(str(path))
+
+
+def test_integer_for_real_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"estimator": {"alpha_sq": 1000000}}))
+    assert load_config(str(path))["estimator"]["alpha_sq"] == 1e6
