@@ -192,9 +192,9 @@ def main(argv=None) -> int:
         if args.command == "preset":
             cmd_preset(args.name, args.output)
             return 0
+        cfg = load_config(args.config, args.seed)
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        cfg = load_config(args.config, args.seed)
         if args.command == "excite":
             cmd_excite(cfg, outdir)
         elif args.command == "identify":

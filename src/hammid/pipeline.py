@@ -85,36 +85,61 @@ def _merge(base: dict, user: dict, prefix: str = "") -> None:
             base[key] = value
 
 
+def _entry(value, where: str, fields) -> None:
+    """Check that config list entry ``where`` is an object holding every one of ``fields``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    for key in fields:
+        if key not in value:
+            raise ValueError(f"{where}: missing field {key!r}")
+
+
 def load_config(path: str | None, seed: int | None = None) -> dict:
     """Merge a config file over the defaults; ``seed`` overrides the base seed.
 
-    A key absent from DEFAULT_CONFIG, top-level or nested, or a value whose
-    JSON type differs from its default's, is rejected by its dotted name; an
-    integer may stand for a real and a list for ``fixed_orders``.  List
-    entries (``inputs``, ``fixed_orders``) are not checked.
+    A file that is not a JSON object is rejected by its path (and line, for
+    invalid JSON).  A key absent from DEFAULT_CONFIG, top-level or nested, or
+    a value whose JSON type differs from its default's, is rejected by its
+    dotted name; an integer may stand for a real and a list for
+    ``fixed_orders``.  Every ``inputs`` and ``outputs`` entry must be an
+    object with the fields the commands read; further fields are kept.
+    ``fixed_orders`` entries are checked when ``identify`` reads them.
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
-            _merge(cfg, json.load(fh))
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"config file {path}: invalid JSON at line {e.lineno}: "
+                                 f"{e.msg}") from None
+        if not isinstance(user, dict):
+            raise ValueError(f"config file {path}: top level must be an object, "
+                             f"got {type(user).__name__}")
+        _merge(cfg, user)
     if seed is not None:
         cfg["seed"] = seed
     for idx, spec in enumerate(cfg["inputs"]):
+        _entry(spec, f"inputs[{idx}]", ("name", "low", "high", "step"))
         spec.setdefault("seed", cfg["seed"] + idx)
+    for idx, spec in enumerate(cfg["outputs"]):
+        _entry(spec, f"outputs[{idx}]", ("name",))
     return cfg
 
 
 def _parse_fixed_orders(raw) -> list[estimate.StructureOrders]:
-    return [
-        estimate.StructureOrders(
-            n=int(entry["n"]),
-            channels=tuple(
-                estimate.ChannelOrders(p=int(c["p"]), m=int(c["m"]), d=int(c["d"]))
-                for c in entry["channels"]
-            ),
-        )
-        for entry in raw
-    ]
+    orders = []
+    for i, entry in enumerate(raw):
+        where = f"fixed_orders[{i}]"
+        _entry(entry, where, ("n", "channels"))
+        if not isinstance(entry["channels"], list):
+            raise ValueError(f"{where}.channels must be a list, got {entry['channels']!r}")
+        channels = []
+        for k, c in enumerate(entry["channels"]):
+            _entry(c, f"{where}.channels[{k}]", ("p", "m", "d"))
+            channels.append(estimate.ChannelOrders(p=int(c["p"]), m=int(c["m"]), d=int(c["d"])))
+        orders.append(estimate.StructureOrders(n=int(entry["n"]), channels=tuple(channels)))
+    return orders
 
 
 @dataclass(frozen=True)

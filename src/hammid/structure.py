@@ -11,9 +11,17 @@ noise floor.
 Every candidate of the scan, and every candidate of the search, regresses
 one output over the same row window on a subset of one fixed bank of
 lagged-output and lagged-input-power columns.  The bank is built once per
-output and compressed by a single QR factorization of [H y]; each
-candidate's loss is then a least-squares solve on the columns of the small
-R factor that belong to it (QR data compression).  :func:`augment_columns`
+output and compressed by a single QR factorization of [H y] (QR data
+compression).  The candidates of one sweep are nested: the scan's
+candidate at d spans the one at d + 1 plus input j's lag-d columns, and the
+p, n and m sweeps each add one group of columns per step.  So each sweep
+re-orders R's columns, new columns of each candidate after the previous
+candidate's and r_y last, and re-factors once; every candidate's loss is
+then a tail sum of squares of the last column of that one factor.  A
+candidate whose leading block fails a rank test (1-norm condition estimate
+against the eps * rows cutoff of a direct solve) is solved by least squares
+on the factor instead, with that cutoff, so exact data with dependent
+columns gives the direct solve's loss.  :func:`augment_columns`
 is the paper's partitioned update of a solution when columns are appended:
 it inverts only the Schur complement of the new columns and gives the same
 solution as a direct solve.
@@ -25,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .estimate import (
     ChannelOrders,
@@ -97,6 +106,49 @@ def augment_columns(
     return theta_full, J_new
 
 
+def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
+    """Loss J of the regression on every column set of a nested sequence.
+
+    ``R`` is the R factor of [H y] over ``n_rows`` rows (r_y its last
+    column); each set in ``column_sets`` holds column indices of H and
+    contains the set before it.  R's columns are re-ordered so that each
+    set's new columns follow the previous set's, with r_y last, and
+    re-factored once into R'.  For the k columns of a set, the leading k x k
+    block of R' is then the R factor of that regression, and its residual
+    is the tail R'[k:, -1].  That holds while the block has full numerical
+    rank: its 1-norm reciprocal condition estimate must exceed k * eps * rows
+    (eps * rows is the cutoff the direct solve applies to singular values,
+    and k turns the 1-norm bound into a 2-norm one).  A block that fails the
+    test is solved by ``lstsq`` on R' with that cutoff; an orthogonal
+    re-factorization keeps the singular values, so the truncation is the
+    same as a direct solve's.
+    """
+    order: list[int] = []
+    sizes = []
+    for cols in column_sets:
+        cols = set(cols)
+        if not cols.issuperset(order):
+            raise ValueError("column sets are not nested")
+        order += sorted(cols.difference(order))
+        sizes.append(len(order))
+    Rn = np.linalg.qr(R[:, order + [R.shape[1] - 1]], mode="r")
+    b = Rn[:, -1]
+    cutoff = np.finfo(float).eps * n_rows
+    losses = np.empty(len(sizes))
+    for i, k in enumerate(sizes):
+        if k == 0 or (
+            k <= Rn.shape[0]
+            and scipy.linalg.lapack.dtrcon(Rn[:k, :k], norm="1")[0] > k * cutoff
+        ):
+            r = b[k:]
+        else:
+            A = Rn[:, :k]
+            theta, *_ = np.linalg.lstsq(A, b, rcond=cutoff)
+            r = b - A @ theta
+        losses[i] = float(r @ r) / n_rows
+    return losses
+
+
 class _CompressedBank:
     """R factor of [H y] for one output's column bank, over one row window.
 
@@ -113,14 +165,13 @@ class _CompressedBank:
         del prob  # at most two copies of the bank alive: Hy and the QR's own
         self.R = np.linalg.qr(Hy, mode="r")
 
-    def loss(self, orders: StructureOrders) -> float:
-        """J of the regression on the bank columns that ``orders`` spans."""
-        cols = [i for i, c in enumerate(self.column_map) if _spans(orders, c)]
-        A, b = self.R[:, cols], self.R[:, -1]
-        # the cutoff rcond=None applies to the full rows x |S| problem
-        theta, *_ = np.linalg.lstsq(A, b, rcond=np.finfo(float).eps * self.n_rows)
-        r = b - A @ theta
-        return float(r @ r) / self.n_rows
+    def losses(self, sweep) -> np.ndarray:
+        """J of each candidate in ``sweep``, a sequence of orders each of
+        which spans the bank columns of the one before it."""
+        return _nested_losses(self.R, self.n_rows, (
+            [i for i, c in enumerate(self.column_map) if _spans(orders, c)]
+            for orders in sweep
+        ))
 
 
 def _spans(orders: StructureOrders, col: Column) -> bool:
@@ -215,11 +266,13 @@ def estimate_delays(inputs, y, max_lag: int) -> list[DelayEstimate]:
     bank = _CompressedBank(data, full, 0, start)
     results = []
     for j in range(U.shape[1]):
-        losses = np.empty(max_lag + 1)
-        for d in range(max_lag + 1):
+        # from d = max_lag down, each candidate adds input j's lag-d columns
+        sweep = []
+        for d in range(max_lag, -1, -1):
             channels = list(full.channels)
             channels[j] = replace(channels[j], d=d, m=span - d)
-            losses[d] = bank.loss(replace(full, channels=channels))
+            sweep.append(replace(full, channels=channels))
+        losses = bank.losses(sweep)[::-1]
         bound = max(losses[0] * (1.0 + _DELAY_JUMP_TOL), floor)
         delay = 0
         for d in range(max_lag + 1):
@@ -310,10 +363,9 @@ def select_structure(
 
     def swept(stage, values, orders_at):
         """Walk the order values; return the selected one."""
+        sweep = [orders_at(value) for value in values]
         selected = prev = None
-        for value in values:
-            orders = orders_at(value)
-            J = bank.loss(orders)
+        for value, orders, J in zip(values, sweep, bank.losses(sweep).tolist()):
             candidates.append(Candidate(stage, orders, J))
             if prev is not None and prev > 0 and (prev - J) / prev < plateau_threshold:
                 break

@@ -51,6 +51,27 @@ class TestExcite:
         assert "n_samples" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[1]\n", "top level must be an object, got list", id="list"),
+        pytest.param('{"n_samples":\n', "invalid JSON at line 2", id="truncated"),
+    ])
+    def test_malformed_config_file_named_no_directory(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "a.json"
+        cfg.write_text(text)
+        outdir = tmp_path / "out"
+        assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ")
+        assert message in err
+        assert not outdir.exists()
+
+    def test_input_entry_missing_field_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": [{"name": "u", "high": 1.0, "step": 0.5}]}))
+        assert main(["excite", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: inputs[0]: missing field 'low'\n"
+
+
 class TestPreset:
     def test_writes_loadable_model(self, tmp_path):
         out = tmp_path / "m.json"
@@ -225,6 +246,21 @@ class TestIdentify:
             "--dataset", str(tmp_path / dataset), "--output-dir", str(tmp_path / "out"),
         ]) == 1
         assert capsys.readouterr().err.startswith(f"error: {stage}: ")
+
+    @pytest.mark.parametrize("fixed, message", [
+        pytest.param([{"n": 2}], "fixed_orders[0]: missing field 'channels'", id="no-channels"),
+        pytest.param([{"n": 2, "channels": [{"p": 1, "m": 1}]}],
+                     "fixed_orders[0].channels[0]: missing field 'd'", id="no-delay"),
+    ])
+    def test_fixed_orders_entry_missing_field_named(self, tmp_path, capsys, fixed, message):
+        _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=120)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_train": 100, "fixed_orders": fixed}))
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: structure: {message}\n"
 
     def test_linear_synthetic_reports_degree_one(self, tmp_path):
         rng = np.random.default_rng(81)

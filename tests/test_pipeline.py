@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -82,6 +83,29 @@ def test_unknown_config_key_rejected(tmp_path, user, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(user))
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[1]", "top level must be an object, got list", id="list"),
+    pytest.param('{\n  "seed": 3,\n  "n_samples"', "invalid JSON at line 3: ", id="truncated"),
+])
+def test_malformed_config_file_named(tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))}: {message}"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("user, message", [
+    ({"inputs": [3]}, "inputs[0] must be an object, got 3"),
+    ({"inputs": [{"name": "u", "low": 0.0, "high": 1.0}]}, "inputs[0]: missing field 'step'"),
+    ({"outputs": [{"unit": "mm"}]}, "outputs[0]: missing field 'name'"),
+])
+def test_list_entry_fields_required(tmp_path, user, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(str(path))
 
 
