@@ -26,7 +26,7 @@ import numpy as np
 
 from . import persistence, preprocess, structure, validate
 from .excitation import AmplitudeGrid, generate_excitation
-from .model import Dataset, MimoHammersteinModel, preset_model, simulate_mimo
+from .model import Dataset, preset_model, simulate_mimo
 from .pipeline import identify, load_config, stage
 
 
@@ -39,28 +39,25 @@ def _write_resolved_config(cfg: dict, outdir: Path) -> None:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_excite(cfg: dict, outdir: Path) -> list[Path]:
-    n = int(cfg["n_samples"])
+def cmd_excite(cfg: dict, outdir: Path) -> None:
+    n = cfg["n_samples"]
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
-    written = []
     for spec in cfg["inputs"]:
         grid = AmplitudeGrid(low=spec["low"], high=spec["high"], step=spec["step"])
-        series = generate_excitation(grid, n, seed=int(spec["seed"]), hold=int(cfg["hold"]))
-        path = outdir / f"excitation_{spec['name']}.txt"
-        persistence.save_series(path, series, name=spec["name"])
-        written.append(path)
+        series = generate_excitation(grid, n, seed=spec["seed"], hold=cfg["hold"])
+        persistence.save_series(outdir / f"excitation_{spec['name']}.txt", series,
+                                name=spec["name"])
     _write_resolved_config(cfg, outdir)
-    return written
 
 
 def cmd_simulate(
     model_path: str,
     input_paths: list[str],
     outdir: Path,
-    dataset_out: str | None = None,
-    cfg: dict | None = None,
-) -> Path:
+    dataset_out: str | None,
+    cfg: dict,
+) -> None:
     model = persistence.load_model(model_path)
     if len(input_paths) != model.n_inputs:
         raise ValueError(
@@ -75,13 +72,11 @@ def cmd_simulate(
         s - model.operating_point.get(name, 0.0) for s, name in zip(series, names)
     ]
     outputs = simulate_mimo(model, np.column_stack(deviations))
-    trace = outdir / "simulated_outputs.txt"
-    persistence.save_trace(trace, model.output_names, outputs)
+    persistence.save_trace(outdir / "simulated_outputs.txt", model.output_names, outputs)
     if dataset_out is not None:
-        cfg = cfg or load_config(None)
-        units = {s["name"]: s.get("unit", "") for s in cfg["inputs"] + cfg.get("outputs", [])}
+        units = {s["name"]: s.get("unit", "") for s in cfg["inputs"] + cfg["outputs"]}
         data = Dataset(
-            sample_period=float(cfg["sample_period"]),
+            sample_period=cfg["sample_period"],
             inputs=np.column_stack(series),
             outputs=outputs,
             input_names=tuple(model.input_names),
@@ -94,25 +89,21 @@ def cmd_simulate(
             } | {name: 0.0 for name in model.output_names},
         )
         persistence.save_dataset(dataset_out, data)
-    return trace
 
 
-def _write_validation(report, output_names, outdir: Path) -> Path:
-    out = outdir / "validation_report.txt"
-    out.write_text(validate.format_validation_report(report))
+def _write_validation(report, output_names, outdir: Path) -> None:
+    (outdir / "validation_report.txt").write_text(validate.format_validation_report(report))
     for s, name in enumerate(output_names):
         (outdir / f"validation_trace_{name}.txt").write_text(
             validate.format_trace(report, s)
         )
-    return out
 
 
-def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> Path:
+def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> None:
     with stage("load"):
         data = persistence.load_dataset(dataset_path)
     result = identify(data, cfg)
-    model_path = outdir / "model.json"
-    persistence.save_model(model_path, result.model)
+    persistence.save_model(outdir / "model.json", result.model)
     (outdir / "structure_report.txt").write_text("\n".join(
         f"structure for {name}: fixed by configuration\n" if search is None
         else structure.format_search_report(search, name)
@@ -120,12 +111,11 @@ def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> Path:
     ))
     _write_validation(result.report, data.output_names, outdir)
     _write_resolved_config(cfg, outdir)
-    return model_path
 
 
 def cmd_validate(
     model_path: str, dataset_path: str, outdir: Path, vcfg: dict, one_step_ahead: bool
-) -> Path:
+) -> None:
     model = persistence.load_model(model_path)
     data = persistence.load_dataset(dataset_path)
     # deviation scale, without median filtering: operating points where
@@ -133,15 +123,13 @@ def cmd_validate(
     deviations, _ = preprocess.prepare_dataset(
         data, preprocess.PreprocessConfig(median_window=1)
     )
-    report = validate.evaluate(model, deviations, std_ddof=int(vcfg["std_ddof"]),
-                               one_step_ahead=one_step_ahead or bool(vcfg["one_step_ahead"]))
-    return _write_validation(report, data.output_names, outdir)
+    report = validate.evaluate(model, deviations, std_ddof=vcfg["std_ddof"],
+                               one_step_ahead=one_step_ahead or vcfg["one_step_ahead"])
+    _write_validation(report, data.output_names, outdir)
 
 
-def cmd_preset(name: str, out_path: str) -> MimoHammersteinModel:
-    model = preset_model(name)
-    persistence.save_model(out_path, model)
-    return model
+def cmd_preset(name: str, out_path: str) -> None:
+    persistence.save_model(out_path, preset_model(name))
 
 
 # ---------------------------------------------------------------------------

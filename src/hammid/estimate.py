@@ -228,10 +228,6 @@ class EstimatorState:
         # numpy computes U'U by a symmetric rank-k product, so P is exactly symmetric
         return self.U.T @ self.U
 
-    @property
-    def dim(self) -> int:
-        return len(self.theta)
-
     def covariance_is_positive_definite(self) -> bool:
         """Check P > 0 by attempting a symmetric (Cholesky) factorization."""
         try:

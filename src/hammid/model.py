@@ -82,11 +82,6 @@ class LinearDynamics:
             return np.zeros(0)
         return np.abs(np.roots((1.0,) + self.a))
 
-    @property
-    def is_stable(self) -> bool:
-        radii = self.pole_radii()
-        return bool(radii.size == 0 or radii.max() < 1.0)
-
 
 @dataclass(frozen=True)
 class HammersteinChannel:

@@ -22,10 +22,8 @@ DEFAULT_CONFIG: dict = {
     "seed": 1,
     "hold": 1,
     "inputs": [
-        {"name": "I_p", "unit": "A", "low": 130.0, "high": 170.0, "step": 2.0,
-         "operating_point": 150.0},
-        {"name": "V_f", "unit": "cm/s", "low": 4.0, "high": 10.0, "step": 1.0,
-         "operating_point": 7.0},
+        {"name": "I_p", "unit": "A", "low": 130.0, "high": 170.0, "step": 2.0},
+        {"name": "V_f", "unit": "cm/s", "low": 4.0, "high": 10.0, "step": 1.0},
     ],
     "outputs": [
         {"name": "W_b", "unit": "mm"},
@@ -66,6 +64,22 @@ def stage(name: str):
 # ``fixed_orders``, whose default is null
 _WIDENINGS = {(int, float), (list, type(None))}
 
+# the JSON type of each field of a config list entry
+_INPUT_FIELDS = {"name": str, "low": float, "high": float, "step": float, "unit": str, "seed": int}
+_OUTPUT_FIELDS = {"name": str, "unit": str}
+_ORDERS_FIELDS = {"n": int, "channels": list}
+_CHANNEL_FIELDS = {"p": int, "m": int, "d": int}
+
+
+def _check_type(name: str, value, want: type) -> None:
+    """The config type rule: ``value``, at dotted key ``name``, must have JSON
+    type ``want`` or one of its widenings."""
+    have = type(value)
+    if have is not want and (have, want) not in _WIDENINGS:
+        raise ValueError(
+            f"config key {name!r} must be {want.__name__}, got {have.__name__} {value!r}"
+        )
+
 
 def _merge(base: dict, user: dict, prefix: str = "") -> None:
     """Overlay ``user`` on ``base`` in place; a key ``base`` lacks, or a value
@@ -74,23 +88,22 @@ def _merge(base: dict, user: dict, prefix: str = "") -> None:
         name = prefix + key
         if key not in base:
             raise ValueError(f"unknown config key {name!r}")
-        have, want = type(value), type(base[key])
-        if have is not want and (have, want) not in _WIDENINGS:
-            raise ValueError(
-                f"config key {name!r} must be {want.__name__}, got {have.__name__} {value!r}"
-            )
+        _check_type(name, value, type(base[key]))
         if isinstance(value, dict):
             _merge(base[key], value, f"{name}.")
         else:
             base[key] = value
 
 
-def _entry(value, where: str, fields) -> None:
-    """Check that config list entry ``where`` is an object holding every one of ``fields``."""
+def _entry(value, where: str, fields: dict, optional: tuple = ()) -> None:
+    """Check that config list entry ``where`` is an object holding every one of
+    ``fields`` not in ``optional``, each of the type ``fields`` gives it."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {value!r}")
-    for key in fields:
-        if key not in value:
+    for key, want in fields.items():
+        if key in value:
+            _check_type(f"{where}.{key}", value[key], want)
+        elif key not in optional:
             raise ValueError(f"{where}: missing field {key!r}")
 
 
@@ -98,12 +111,17 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     """Merge a config file over the defaults; ``seed`` overrides the base seed.
 
     A file that is not a JSON object is rejected by its path (and line, for
-    invalid JSON).  A key absent from DEFAULT_CONFIG, top-level or nested, or
-    a value whose JSON type differs from its default's, is rejected by its
-    dotted name; an integer may stand for a real and a list for
-    ``fixed_orders``.  Every ``inputs`` and ``outputs`` entry must be an
-    object with the fields the commands read; further fields are kept.
-    ``fixed_orders`` entries are checked when ``identify`` reads them.
+    invalid JSON).  A key absent from DEFAULT_CONFIG, top-level or nested, is
+    rejected by its dotted name.  One type rule holds for every value: its
+    JSON type must equal its default's, except that an integer may stand for
+    a real and a list for the null ``fixed_orders``.  List entries follow the
+    same rule, named like ``inputs[0].low``: an ``inputs`` entry holds
+    ``name`` (str) and ``low``, ``high`` and ``step`` (real), optionally
+    ``unit`` (str) and ``seed`` (int); an ``outputs`` entry holds ``name``
+    (str), optionally ``unit`` (str).  Further entry fields are kept.
+    ``fixed_orders`` entries (``n`` (int) and ``channels``, a list of
+    ``{p, m, d}`` ints) are checked by the same rule when ``identify`` reads
+    them.
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -120,25 +138,24 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     if seed is not None:
         cfg["seed"] = seed
     for idx, spec in enumerate(cfg["inputs"]):
-        _entry(spec, f"inputs[{idx}]", ("name", "low", "high", "step"))
+        _entry(spec, f"inputs[{idx}]", _INPUT_FIELDS, optional=("unit", "seed"))
         spec.setdefault("seed", cfg["seed"] + idx)
     for idx, spec in enumerate(cfg["outputs"]):
-        _entry(spec, f"outputs[{idx}]", ("name",))
+        _entry(spec, f"outputs[{idx}]", _OUTPUT_FIELDS, optional=("unit",))
     return cfg
 
 
 def _parse_fixed_orders(raw) -> list[estimate.StructureOrders]:
+    """``fixed_orders`` entries, each ``{n, channels: [{p, m, d}, ...]}`` of ints."""
     orders = []
     for i, entry in enumerate(raw):
         where = f"fixed_orders[{i}]"
-        _entry(entry, where, ("n", "channels"))
-        if not isinstance(entry["channels"], list):
-            raise ValueError(f"{where}.channels must be a list, got {entry['channels']!r}")
+        _entry(entry, where, _ORDERS_FIELDS)
         channels = []
         for k, c in enumerate(entry["channels"]):
-            _entry(c, f"{where}.channels[{k}]", ("p", "m", "d"))
-            channels.append(estimate.ChannelOrders(p=int(c["p"]), m=int(c["m"]), d=int(c["d"])))
-        orders.append(estimate.StructureOrders(n=int(entry["n"]), channels=tuple(channels)))
+            _entry(c, f"{where}.channels[{k}]", _CHANNEL_FIELDS)
+            channels.append(estimate.ChannelOrders(p=c["p"], m=c["m"], d=c["d"]))
+        orders.append(estimate.StructureOrders(n=entry["n"], channels=tuple(channels)))
     return orders
 
 
@@ -165,30 +182,30 @@ def identify(data: Dataset, cfg: dict) -> Identification:
 
     with stage("preprocess"):
         pp = preprocess.PreprocessConfig(
-            median_window=int(cfg["preprocess"]["median_window"]),
-            filter_inputs=bool(cfg["preprocess"]["filter_inputs"]),
+            median_window=cfg["preprocess"]["median_window"],
+            filter_inputs=cfg["preprocess"]["filter_inputs"],
         )
         deviations, offsets = preprocess.prepare_dataset(data, pp)
 
     with stage("split"):
-        n_train = int(cfg["n_train"])
+        n_train = cfg["n_train"]
         train, test = validate.split_dataset(deviations, n_train)
 
     with stage("structure"):
         if cfg["fixed_orders"] is None:
             scfg = cfg["structure"]
             bounds = structure.SearchBounds(
-                n_max=int(scfg["n_max"]), m_max=int(scfg["m_max"]), p_max=int(scfg["p_max"])
+                n_max=scfg["n_max"], m_max=scfg["m_max"], p_max=scfg["p_max"]
             )
             searches = []
             for s in range(train.n_outputs):
                 scan = structure.estimate_delays(
-                    train.inputs, train.outputs[:, s], int(cfg["delay"]["max_lag"])
+                    train.inputs, train.outputs[:, s], cfg["delay"]["max_lag"]
                 )
                 searches.append(structure.select_structure(
                     train, s, [est.delay for est in scan], bounds,
-                    plateau_threshold=float(scfg["plateau_threshold"]),
-                    convergence_floor=float(scfg["convergence_floor"]),
+                    plateau_threshold=scfg["plateau_threshold"],
+                    convergence_floor=scfg["convergence_floor"],
                 ))
             orders_list = [search.selected for search in searches]
         else:
@@ -205,7 +222,7 @@ def identify(data: Dataset, cfg: dict) -> Identification:
         for s, orders in enumerate(orders_list):
             prob = estimate.build_regressor(train, orders, s)
             if method == "rls":
-                theta = estimate.run_rls(prob, float(cfg["estimator"]["alpha_sq"])).theta
+                theta = estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]).theta
             else:
                 theta = estimate.batch_ls(prob).theta
             per_output.append((orders, estimate.separate_parameters(theta, orders)))
@@ -216,6 +233,6 @@ def identify(data: Dataset, cfg: dict) -> Identification:
 
     with stage("validate"):
         vcfg = cfg["validation"]
-        report = validate.evaluate(model, test, one_step_ahead=bool(vcfg["one_step_ahead"]),
-                                   std_ddof=int(vcfg["std_ddof"]))
+        report = validate.evaluate(model, test, one_step_ahead=vcfg["one_step_ahead"],
+                                   std_ddof=vcfg["std_ddof"])
     return Identification(model=model, searches=tuple(searches), report=report)

@@ -208,9 +208,6 @@ class DelayEstimate:
     def low_confidence(self) -> bool:
         return self.peak_correlation < self.significance_bound
 
-    def __int__(self) -> int:
-        return self.delay
-
 
 def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float:
     u0 = u - u.mean()

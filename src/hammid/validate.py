@@ -96,8 +96,11 @@ def evaluate(
     """Compare model output against measured output on a test dataset.
 
     Data must be at deviation scale.  ``std_ddof`` selects the standard
-    deviation convention (0 = population, 1 = sample).
+    deviation convention (0 = population, 1 = sample); any other value is
+    rejected.
     """
+    if std_ddof not in (0, 1):
+        raise ValueError(f"std_ddof must be 0 (population) or 1 (sample), got {std_ddof!r}")
     if test.n_inputs != model.n_inputs or test.n_outputs != model.n_outputs:
         raise ValueError(
             f"model is {model.n_inputs}x{model.n_outputs}, "

@@ -71,6 +71,21 @@ class TestExcite:
         assert main(["excite", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: inputs[0]: missing field 'low'\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("low", "130", "'inputs[0].low' must be float, got str '130'"),
+        ("seed", "7", "'inputs[0].seed' must be int, got str '7'"),
+        ("name", 3, "'inputs[0].name' must be str, got int 3"),
+    ])
+    def test_mistyped_input_entry_named_no_directory(self, tmp_path, capsys, field, value,
+                                                       message):
+        entry = {"name": "u", "low": 130.0, "high": 170.0, "step": 2.0} | {field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": [entry]}))
+        outdir = tmp_path / "out"
+        assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: config key {message}\n"
+        assert not outdir.exists()
+
 
 class TestPreset:
     def test_writes_loadable_model(self, tmp_path):
@@ -168,6 +183,28 @@ class TestSimulate:
         assert f"{model_path}: non-finite number: NaN" in capsys.readouterr().err
         assert not (outdir / "simulated_outputs.txt").exists()
 
+    @pytest.mark.parametrize("lengths, message", [
+        pytest.param((5,), "model expects 2 input files, got 1", id="one-file"),
+        pytest.param((5, 5, 5), "model expects 2 input files, got 3", id="three-files"),
+        pytest.param((5, 4), "input series lengths differ: [4, 5]", id="lengths"),
+    ])
+    def test_mismatched_input_files_fail(self, tmp_path, capsys, lengths, message):
+        from hammid import save_series
+
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        inputs = []
+        for k, n in enumerate(lengths):
+            inputs.append(str(tmp_path / f"u{k}.txt"))
+            save_series(inputs[-1], np.full(n, 150.0), name=("I_p", "V_f", "x")[k])
+        outdir = tmp_path / "out"
+        assert main([
+            "simulate", "--model", str(model_path), "--inputs", *inputs,
+            "--output-dir", str(outdir),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (outdir / "simulated_outputs.txt").exists()
+
     def test_dataset_out_is_identifiable(self, tmp_path):
         model_path = tmp_path / "m.json"
         main(["preset", "--output", str(model_path)])
@@ -261,6 +298,49 @@ class TestIdentify:
             "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(tmp_path / "out"),
         ]) == 1
         assert capsys.readouterr().err == f"error: structure: {message}\n"
+
+    @pytest.mark.parametrize("channel, entry, message", [
+        pytest.param({"p": 2.7}, {}, "'fixed_orders[0].channels[0].p' must be int, got float 2.7",
+                     id="real-degree"),
+        pytest.param({"d": True}, {}, "'fixed_orders[0].channels[0].d' must be int, got bool True",
+                     id="bool-delay"),
+        pytest.param({}, {"n": "5"}, "'fixed_orders[0].n' must be int, got str '5'",
+                     id="string-order"),
+        pytest.param({}, {"channels": 3}, "'fixed_orders[0].channels' must be list, got int 3",
+                     id="scalar-channels"),
+    ])
+    def test_fixed_orders_mistyped_field_named(self, tmp_path, capsys, channel, entry, message):
+        first = FIXED_PRESET_ORDERS[0]
+        fixed = [{"n": first["n"], "channels": [first["channels"][0] | channel,
+                                                first["channels"][1]]} | entry,
+                 FIXED_PRESET_ORDERS[1]]
+        _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=120)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_train": 100, "fixed_orders": fixed}))
+        outdir = tmp_path / "out"
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(outdir),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: structure: config key {message}\n"
+        assert not (outdir / "model.json").exists()
+
+    def test_std_ddof_out_of_range_fails_in_validate_stage(self, tmp_path, capsys):
+        _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=400)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "preprocess": {"median_window": 1},
+            "fixed_orders": FIXED_PRESET_ORDERS,
+            "n_train": 350,
+            "validation": {"std_ddof": -3},
+        }))
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: validate: std_ddof must be 0 (population) or 1 (sample), got -3\n"
+        )
 
     def test_linear_synthetic_reports_degree_one(self, tmp_path):
         rng = np.random.default_rng(81)
@@ -359,3 +439,20 @@ class TestValidateCommand:
         ]) == 0
         header = (outdir / "validation_report.txt").read_text().splitlines()[0]
         assert "one-step-ahead" in header
+
+    def test_std_ddof_out_of_range_fails(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        dataset_path = tmp_path / "oracle.csv"
+        _write_oracle_dataset(dataset_path, n_samples=70)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"validation": {"std_ddof": 70}}))
+        outdir = tmp_path / "out"
+        assert main([
+            "validate", "--model", str(model_path), "--dataset", str(dataset_path),
+            "--config", str(cfg_path), "--output-dir", str(outdir),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: std_ddof must be 0 (population) or 1 (sample), got 70\n"
+        )
+        assert not (outdir / "validation_report.txt").exists()

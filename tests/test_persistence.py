@@ -142,6 +142,17 @@ class TestSeries:
             load_series(path)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("header, row", [
+        pytest.param("index,val", "0,1.0", id="renamed-column"),
+        pytest.param("index,value,extra", "0,1.0,2.0", id="extra-column"),
+    ])
+    def test_wrong_column_header_cites_line(self, tmp_path, header, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# hammid series v1\n# signal: u\n{header}\n{row}\n")
+        with pytest.raises(FileFormatError) as err:
+            load_series(path)
+        assert str(err.value) == f"{path}:3: expected 'index,value' column header"
+
 
 class TestDatasetFiles:
     def test_three_row_file(self, tmp_path):
@@ -257,6 +268,26 @@ class TestDatasetFiles:
             load_dataset(path)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda ls: ls.pop(2), ": missing '# inputs:' line", id="no-inputs-line"),
+        pytest.param(lambda ls: ls.__setitem__(4, "index,u,z"),
+                     ":5: columns 'u,z' != inputs and outputs 'u,y'", id="columns"),
+        pytest.param(lambda ls: ls.__setitem__(4, "idx,u,y"),
+                     ":5: expected an 'index,...' column header", id="no-index-column"),
+        pytest.param(lambda ls: ls.pop(), ": no data rows", id="no-rows"),
+        pytest.param(lambda ls: ls.insert(4, "# units: u=A,y"),
+                     ":5: expected name=value, got 'y'", id="malformed-mapping"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, edit, message):
+        lines = ["# hammid dataset v1", "# sample_period: 1.0", "# inputs: u", "# outputs: y",
+                 "index,u,y", "0,1.0,2.0"]
+        edit(lines)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}{message}"
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("index,u,y\n0,1.0,2.0\n")
@@ -317,6 +348,24 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match="degree"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["channels"][0][0].update(n=3),
+                     "channel[0][0]: stated orders do not match coefficients", id="orders"),
+        pytest.param(lambda doc: doc["channels"][1][0].pop("b"),
+                     "channel[1][0]: missing field 'b'", id="channel-field"),
+        pytest.param(lambda doc: doc.update(n_inputs=3),
+                     "stated arity does not match the channel grid", id="arity"),
+    ])
+    def test_inconsistent_document_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(path, gtaw_pool_model())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda doc: doc.pop("n_inputs"), "missing field 'n_inputs'", id="n_inputs"),

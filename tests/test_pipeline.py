@@ -109,7 +109,7 @@ def test_list_entry_fields_required(tmp_path, user, message):
         load_config(str(path))
 
 
-def test_list_entries_not_checked(tmp_path):
+def test_list_entry_extra_fields_kept(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "inputs": [{"name": "u", "low": -1.0, "high": 1.0, "step": 0.5, "seed": 9, "note": "x"}],
@@ -118,6 +118,9 @@ def test_list_entries_not_checked(tmp_path):
     cfg = load_config(str(path))
     assert cfg["inputs"][0]["note"] == "x"
     assert cfg["preprocess"] == {"median_window": 1, "filter_inputs": False}
+
+
+_INPUT = {"name": "u", "low": 0, "high": 1.0, "step": 0.5}  # an integer for a real
 
 
 @pytest.mark.parametrize("user, message", [
@@ -129,11 +132,20 @@ def test_list_entries_not_checked(tmp_path):
                  id="real-for-int"),
     pytest.param({"structure": 4}, "config key 'structure' must be dict, got int 4",
                  id="scalar-for-section"),
+    pytest.param({"inputs": [_INPUT | {"low": "130"}]},
+                 "config key 'inputs[0].low' must be float, got str '130'", id="entry-string-real"),
+    pytest.param({"inputs": [_INPUT | {"seed": 7.0}]},
+                 "config key 'inputs[0].seed' must be int, got float 7.0", id="entry-real-seed"),
+    pytest.param({"inputs": [_INPUT | {"name": 3}]},
+                 "config key 'inputs[0].name' must be str, got int 3", id="entry-integer-name"),
+    pytest.param({"outputs": [{"name": "y"}, {"name": "z", "unit": None}]},
+                 "config key 'outputs[1].unit' must be str, got NoneType None",
+                 id="entry-null-unit"),
 ])
 def test_mistyped_config_value_rejected(tmp_path, user, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(user))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(str(path))
 
 

@@ -117,6 +117,12 @@ class TestEvaluate:
         for a, b in zip(pop.outputs, samp.outputs):
             assert b.std_error > a.std_error
 
+    @pytest.mark.parametrize("ddof", [-3, 2, 50])
+    def test_std_ddof_other_than_zero_or_one_rejected(self, ddof):
+        data = preset_oracle_dataset(n_samples=50)
+        with pytest.raises(ValueError, match=f"^std_ddof must be 0 .* or 1 .*, got {ddof}$"):
+            evaluate(gtaw_pool_model(), data, std_ddof=ddof)
+
     def test_arity_mismatch(self):
         data = preset_oracle_dataset(n_samples=50)
         narrower = Dataset(
