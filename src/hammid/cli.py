@@ -40,14 +40,16 @@ def _write_resolved_config(cfg: dict, outdir: Path) -> None:
 # Commands
 
 def cmd_excite(cfg: dict, outdir: Path) -> None:
-    n = cfg["n_samples"]
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n}")
-    for spec in cfg["inputs"]:
-        grid = AmplitudeGrid(low=spec["low"], high=spec["high"], step=spec["step"])
-        series = generate_excitation(grid, n, seed=spec["seed"], hold=cfg["hold"])
-        persistence.save_series(outdir / f"excitation_{spec['name']}.txt", series,
-                                name=spec["name"])
+    # every schedule is built before any is written, so a bad entry leaves no file
+    schedules = {
+        spec["name"]: generate_excitation(
+            AmplitudeGrid(low=spec["low"], high=spec["high"], step=spec["step"]),
+            cfg["n_samples"], seed=spec["seed"], hold=cfg["hold"],
+        )
+        for spec in cfg["inputs"]
+    }
+    for name, series in schedules.items():
+        persistence.save_series(outdir / f"excitation_{name}.txt", series, name=name)
     _write_resolved_config(cfg, outdir)
 
 

@@ -53,7 +53,7 @@ class LcgState:
 
     def __post_init__(self):
         if not 1 <= self.state <= MINSTD_MODULUS - 1:
-            raise ValueError(f"state must lie in [1, {MINSTD_MODULUS - 1}], got {self.state}")
+            raise ValueError(f"seed must lie in [1, {MINSTD_MODULUS - 1}], got {self.state}")
 
 
 def lcg_next(s: LcgState) -> tuple[LcgState, float]:

@@ -110,6 +110,15 @@ def simulate_channel(ch: HammersteinChannel, u) -> np.ndarray:
     return simulate_linear(ch.dynamics, eval_nonlinearity(ch.nonlinearity, u))
 
 
+def check_unique_names(names) -> None:
+    """Reject a signal name that appears more than once in ``names``."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"signal name {name!r} is repeated")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class MimoHammersteinModel:
     """Grid of Hammerstein channels indexed (output, input).
@@ -145,6 +154,7 @@ class MimoHammersteinModel:
             raise ValueError("output_names does not match the channel grid")
         if len(self.input_names) != width:
             raise ValueError("input_names does not match the channel grid")
+        check_unique_names(self.input_names + self.output_names)
 
     @property
     def n_inputs(self) -> int:
@@ -222,6 +232,7 @@ class Dataset:
             raise ValueError("input_names does not match the input columns")
         if self.outputs.shape[1] != len(self.output_names):
             raise ValueError("output_names does not match the output columns")
+        check_unique_names(self.input_names + self.output_names)
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ValueError(
                 f"input length {self.inputs.shape[0]} != output length {self.outputs.shape[0]}"

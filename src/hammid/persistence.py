@@ -30,14 +30,17 @@ Simulated trace (the outputs ``hammid simulate`` computes)::
     index,W_b,H_f
     0,0.0,0.0
 
-Model files are JSON with a ``schema_version`` field; unknown versions are
-rejected.  Channels are stored per output row as {p, r, n, a, m, b, d}.
+Model and config files are JSON objects read by :func:`read_json_object` and
+typed by one rule, :func:`check_type`, naming each value by its JSON path
+(``channels[0][1].d``).  Model files carry a ``schema_version`` (unknown ones
+are rejected) and store channels per output row as {p, r, n, a, m, b, d}.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,7 @@ from .model import (
     LinearDynamics,
     MimoHammersteinModel,
     StaticNonlinearity,
+    check_unique_names,
 )
 
 MODEL_SCHEMA_VERSION = 1
@@ -198,6 +202,10 @@ def load_dataset(path) -> Dataset:
     if names != inputs + outputs:
         raise FileFormatError(path, header_line, f"columns {','.join(names)!r} != "
                               f"inputs and outputs {','.join(inputs + outputs)!r}")
+    try:
+        check_unique_names(names)
+    except ValueError as e:
+        raise FileFormatError(path, header_line, str(e)) from None
     units, raw_op = (
         _parse_mapping(path, *meta.get(key, (None, ""))) for key in ("units", "operating_point")
     )
@@ -216,7 +224,56 @@ def load_dataset(path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Models
+# JSON documents: the config and the model file
+
+# accepted besides equal types: an integer for a real, and a list for the
+# config's ``fixed_orders``, whose default is null
+_WIDENINGS = {(int, float), (list, type(None))}
+
+# the JSON type of each field of a model file and of each channel in it
+_MODEL_FIELDS = {"schema_version": int, "n_inputs": int, "n_outputs": int, "input_names": list,
+                 "output_names": list, "channels": list, "operating_point": dict, "metadata": dict}
+_CHANNEL_FIELDS = {"p": int, "r": list, "n": int, "a": list, "m": int, "b": list, "d": int}
+
+
+def read_json_object(path) -> dict:
+    """Parse JSON file ``path``, whose top level must be an object and every
+    number finite; a :class:`FileFormatError` names the path (and line)."""
+    number = partial(_parse_float, path=path, line=None, what="number")
+    try:
+        doc = json.loads(Path(path).read_text(), parse_float=number, parse_constant=number)
+    except json.JSONDecodeError as e:
+        raise FileFormatError(path, e.lineno, f"invalid JSON: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise FileFormatError(path, None, f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def check_type(name: str, value, want: type) -> None:
+    """The type rule: ``value``, at dotted key ``name``, must have JSON type
+    ``want`` or one of its widenings."""
+    have = type(value)
+    if have is not want and (have, want) not in _WIDENINGS:
+        raise ValueError(f"key {name!r} must be {want.__name__}, got {have.__name__} {value!r}")
+
+
+def _check_items(name: str, values: list, want: type) -> None:
+    """Apply :func:`check_type` to each item of the list at dotted key ``name``."""
+    for k, value in enumerate(values):
+        check_type(f"{name}[{k}]", value, want)
+
+
+def check_entry(value, where: str, fields: dict, optional: tuple = ()) -> None:
+    """Check that ``value``, at dotted key ``where`` ("" at top level), is an object
+    holding each of ``fields`` not in ``optional``, of the type ``fields`` gives."""
+    check_type(where, value, dict)
+    for key, want in fields.items():
+        name = f"{where}.{key}" if where else key
+        if key in value:
+            check_type(name, value[key], want)
+        elif key not in optional:
+            raise ValueError(f"missing field {name!r}")
+
 
 def _channel_to_dict(ch: HammersteinChannel) -> dict:
     dyn = ch.dynamics
@@ -231,19 +288,17 @@ def _channel_to_dict(ch: HammersteinChannel) -> dict:
     }
 
 
-def _channel_from_dict(obj: dict, path, where: str) -> HammersteinChannel:
-    try:
-        f = StaticNonlinearity(tuple(obj["r"]))
-        if f.degree != obj["p"]:
-            raise FileFormatError(
-                path, None, f"{where}: degree {obj['p']} does not match {len(obj['r'])} coefficients"
-            )
-        dyn = LinearDynamics(a=tuple(obj["a"]), b=tuple(obj["b"]), d=int(obj["d"]))
-        if dyn.n != obj["n"] or dyn.m != obj["m"]:
-            raise FileFormatError(path, None, f"{where}: stated orders do not match coefficients")
-        return HammersteinChannel(f, dyn)
-    except KeyError as e:
-        raise FileFormatError(path, None, f"{where}: missing field {e}") from None
+def _channel_from_dict(obj, where: str) -> HammersteinChannel:
+    check_entry(obj, where, _CHANNEL_FIELDS)
+    for key in ("r", "a", "b"):
+        _check_items(f"{where}.{key}", obj[key], float)
+    f = StaticNonlinearity(obj["r"])
+    if f.degree != obj["p"]:
+        raise ValueError(f"{where}: degree {obj['p']} does not match {len(obj['r'])} coefficients")
+    dyn = LinearDynamics(a=obj["a"], b=obj["b"], d=obj["d"])
+    if dyn.n != obj["n"] or dyn.m != obj["m"]:
+        raise ValueError(f"{where}: stated orders do not match coefficients")
+    return HammersteinChannel(f, dyn)
 
 
 def save_model(path, model: MimoHammersteinModel) -> None:
@@ -261,41 +316,32 @@ def save_model(path, model: MimoHammersteinModel) -> None:
 
 
 def load_model(path) -> MimoHammersteinModel:
-    text = Path(path).read_text()
+    """Read a model file written by :func:`save_model`.
 
-    def number(cell):
-        return _parse_float(cell, path, None, "number")
-
+    Fields have the JSON types of ``_MODEL_FIELDS`` and ``_CHANNEL_FIELDS``,
+    list items and ``operating_point`` values too; a mistyped field and
+    orders that disagree with the coefficients alike raise a
+    :class:`FileFormatError` naming the path.
+    """
+    doc = read_json_object(path)
     try:
-        doc = json.loads(text, parse_float=number, parse_constant=number)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(path, e.lineno, f"invalid JSON: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(path, None, f"expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise FileFormatError(
-            path, None, f"unsupported schema_version {version!r} (expected {MODEL_SCHEMA_VERSION})"
-        )
-    try:
-        channels = tuple(
-            tuple(_channel_from_dict(ch, path, f"channel[{s}][{j}]") for j, ch in enumerate(row))
-            for s, row in enumerate(doc["channels"])
-        )
+        version = doc.get("schema_version")
+        if version != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {version!r} "
+                             f"(expected {MODEL_SCHEMA_VERSION})")
+        check_entry(doc, "", _MODEL_FIELDS, optional=("operating_point", "metadata"))
+        for key, want in (("input_names", str), ("output_names", str), ("channels", list)):
+            _check_items(key, doc[key], want)
+        for name, value in doc.get("operating_point", {}).items():
+            check_type(f"operating_point.{name}", value, float)
         model = MimoHammersteinModel(
-            channels=channels,
-            input_names=tuple(doc["input_names"]),
-            output_names=tuple(doc["output_names"]),
-            operating_point=dict(doc.get("operating_point", {})),
-            metadata=dict(doc.get("metadata", {})),
+            [[_channel_from_dict(ch, f"channels[{s}][{j}]") for j, ch in enumerate(row)]
+             for s, row in enumerate(doc["channels"])],
+            doc["input_names"], doc["output_names"],
+            doc.get("operating_point", {}), doc.get("metadata", {}),
         )
-        arity = (doc["n_inputs"], doc["n_outputs"])
-    except KeyError as e:
-        raise FileFormatError(path, None, f"missing field {e}") from None
-    except (TypeError, ValueError) as e:
-        if isinstance(e, FileFormatError):
-            raise
+        if (doc["n_inputs"], doc["n_outputs"]) != (model.n_inputs, model.n_outputs):
+            raise ValueError("stated arity does not match the channel grid")
+    except ValueError as e:
         raise FileFormatError(path, None, str(e)) from None
-    if arity != (model.n_inputs, model.n_outputs):
-        raise FileFormatError(path, None, "stated arity does not match the channel grid")
     return model

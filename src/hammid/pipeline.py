@@ -9,12 +9,12 @@ a wrapper installed on that attribute, such as a tracer's, sees every call.
 from __future__ import annotations
 
 import copy
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import estimate, preprocess, structure, validate
-from .model import Dataset, MimoHammersteinModel
+from .model import Dataset, MimoHammersteinModel, check_unique_names
+from .persistence import FileFormatError, check_entry, check_type, read_json_object
 
 DEFAULT_CONFIG: dict = {
     "sample_period": 1.0,
@@ -60,25 +60,11 @@ def stage(name: str):
         raise StageError(name, e) from e
 
 
-# accepted besides equal types: an integer for a real, and a list for
-# ``fixed_orders``, whose default is null
-_WIDENINGS = {(int, float), (list, type(None))}
-
 # the JSON type of each field of a config list entry
 _INPUT_FIELDS = {"name": str, "low": float, "high": float, "step": float, "unit": str, "seed": int}
 _OUTPUT_FIELDS = {"name": str, "unit": str}
 _ORDERS_FIELDS = {"n": int, "channels": list}
-_CHANNEL_FIELDS = {"p": int, "m": int, "d": int}
-
-
-def _check_type(name: str, value, want: type) -> None:
-    """The config type rule: ``value``, at dotted key ``name``, must have JSON
-    type ``want`` or one of its widenings."""
-    have = type(value)
-    if have is not want and (have, want) not in _WIDENINGS:
-        raise ValueError(
-            f"config key {name!r} must be {want.__name__}, got {have.__name__} {value!r}"
-        )
+_ORDERS_CHANNEL_FIELDS = {"p": int, "m": int, "d": int}
 
 
 def _merge(base: dict, user: dict, prefix: str = "") -> None:
@@ -88,75 +74,47 @@ def _merge(base: dict, user: dict, prefix: str = "") -> None:
         name = prefix + key
         if key not in base:
             raise ValueError(f"unknown config key {name!r}")
-        _check_type(name, value, type(base[key]))
+        check_type(name, value, type(base[key]))
         if isinstance(value, dict):
             _merge(base[key], value, f"{name}.")
         else:
             base[key] = value
 
 
-def _entry(value, where: str, fields: dict, optional: tuple = ()) -> None:
-    """Check that config list entry ``where`` is an object holding every one of
-    ``fields`` not in ``optional``, each of the type ``fields`` gives it."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object, got {value!r}")
-    for key, want in fields.items():
-        if key in value:
-            _check_type(f"{where}.{key}", value[key], want)
-        elif key not in optional:
-            raise ValueError(f"{where}: missing field {key!r}")
-
-
 def load_config(path: str | None, seed: int | None = None) -> dict:
     """Merge a config file over the defaults; ``seed`` overrides the base seed.
 
-    A file that is not a JSON object is rejected by its path (and line, for
-    invalid JSON).  A key absent from DEFAULT_CONFIG, top-level or nested, is
-    rejected by its dotted name.  One type rule holds for every value: its
-    JSON type must equal its default's, except that an integer may stand for
-    a real and a list for the null ``fixed_orders``.  List entries follow the
-    same rule, named like ``inputs[0].low``: an ``inputs`` entry holds
-    ``name`` (str) and ``low``, ``high`` and ``step`` (real), optionally
-    ``unit`` (str) and ``seed`` (int); an ``outputs`` entry holds ``name``
-    (str), optionally ``unit`` (str).  Further entry fields are kept.
-    ``fixed_orders`` entries (``n`` (int) and ``channels``, a list of
-    ``{p, m, d}`` ints) are checked by the same rule when ``identify`` reads
-    them.
+    The file must be a JSON object with finite numbers, and every error is a
+    ``FileFormatError`` naming its path.  A key absent from DEFAULT_CONFIG,
+    top-level or nested, is rejected by its dotted name.  The type rule of
+    :mod:`persistence` holds for every value: its JSON type must equal its
+    default's, except that an integer may stand for a real and a list for the
+    null ``fixed_orders``.  List entries follow the same rule, named like
+    ``inputs[0].low``: an ``inputs`` entry holds ``name`` (str) and ``low``,
+    ``high`` and ``step`` (real), optionally ``unit`` (str) and ``seed``
+    (int); an ``outputs`` entry holds ``name`` (str), optionally ``unit``
+    (str); a ``fixed_orders`` entry holds ``n`` (int) and ``channels``, a
+    list of ``{p, m, d}`` ints.  Further entry fields are kept.
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        with open(path) as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"config file {path}: invalid JSON at line {e.lineno}: "
-                                 f"{e.msg}") from None
-        if not isinstance(user, dict):
-            raise ValueError(f"config file {path}: top level must be an object, "
-                             f"got {type(user).__name__}")
+    user = {} if path is None else read_json_object(path)
+    try:
         _merge(cfg, user)
-    if seed is not None:
-        cfg["seed"] = seed
-    for idx, spec in enumerate(cfg["inputs"]):
-        _entry(spec, f"inputs[{idx}]", _INPUT_FIELDS, optional=("unit", "seed"))
-        spec.setdefault("seed", cfg["seed"] + idx)
-    for idx, spec in enumerate(cfg["outputs"]):
-        _entry(spec, f"outputs[{idx}]", _OUTPUT_FIELDS, optional=("unit",))
+        if seed is not None:
+            cfg["seed"] = seed
+        for idx, spec in enumerate(cfg["inputs"]):
+            check_entry(spec, f"inputs[{idx}]", _INPUT_FIELDS, optional=("unit", "seed"))
+            spec.setdefault("seed", cfg["seed"] + idx)
+        for idx, spec in enumerate(cfg["outputs"]):
+            check_entry(spec, f"outputs[{idx}]", _OUTPUT_FIELDS, optional=("unit",))
+        for idx, entry in enumerate(cfg["fixed_orders"] or ()):
+            check_entry(entry, f"fixed_orders[{idx}]", _ORDERS_FIELDS)
+            for k, c in enumerate(entry["channels"]):
+                check_entry(c, f"fixed_orders[{idx}].channels[{k}]", _ORDERS_CHANNEL_FIELDS)
+        check_unique_names([spec["name"] for spec in cfg["inputs"] + cfg["outputs"]])
+    except ValueError as e:
+        raise FileFormatError(path, None, str(e)) from None
     return cfg
-
-
-def _parse_fixed_orders(raw) -> list[estimate.StructureOrders]:
-    """``fixed_orders`` entries, each ``{n, channels: [{p, m, d}, ...]}`` of ints."""
-    orders = []
-    for i, entry in enumerate(raw):
-        where = f"fixed_orders[{i}]"
-        _entry(entry, where, _ORDERS_FIELDS)
-        channels = []
-        for k, c in enumerate(entry["channels"]):
-            _entry(c, f"{where}.channels[{k}]", _CHANNEL_FIELDS)
-            channels.append(estimate.ChannelOrders(p=c["p"], m=c["m"], d=c["d"]))
-        orders.append(estimate.StructureOrders(n=entry["n"], channels=tuple(channels)))
-    return orders
 
 
 @dataclass(frozen=True)
@@ -209,7 +167,9 @@ def identify(data: Dataset, cfg: dict) -> Identification:
                 ))
             orders_list = [search.selected for search in searches]
         else:
-            orders_list = _parse_fixed_orders(cfg["fixed_orders"])
+            orders_list = [estimate.StructureOrders(entry["n"], [
+                estimate.ChannelOrders(c["p"], c["m"], c["d"]) for c in entry["channels"]
+            ]) for entry in cfg["fixed_orders"]]
             if len(orders_list) != data.n_outputs:
                 raise ValueError(
                     f"fixed_orders describe {len(orders_list)} outputs, "

@@ -8,6 +8,7 @@ from hammid.cli import main
 
 from helpers import expected_preset_theta, preset_oracle_dataset, recursion_oracle
 
+_INPUT = {"name": "u", "low": 0.0, "high": 1.0, "step": 0.5}
 FIXED_PRESET_ORDERS = [
     {"n": 5, "channels": [{"p": 2, "m": 3, "d": 1}, {"p": 4, "m": 5, "d": 1}]},
     {"n": 5, "channels": [{"p": 2, "m": 5, "d": 3}, {"p": 4, "m": 5, "d": 3}]},
@@ -52,8 +53,8 @@ class TestExcite:
 
 
     @pytest.mark.parametrize("text, message", [
-        pytest.param("[1]\n", "top level must be an object, got list", id="list"),
-        pytest.param('{"n_samples":\n', "invalid JSON at line 2", id="truncated"),
+        pytest.param("[1]\n", ": expected a JSON object, got list\n", id="list"),
+        pytest.param('{"n_samples":\n', ":2: invalid JSON: ", id="truncated"),
     ])
     def test_malformed_config_file_named_no_directory(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "a.json"
@@ -61,15 +62,14 @@ class TestExcite:
         outdir = tmp_path / "out"
         assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config file {cfg}: ")
-        assert message in err
+        assert err.startswith(f"error: {cfg}{message}")
         assert not outdir.exists()
 
     def test_input_entry_missing_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"inputs": [{"name": "u", "high": 1.0, "step": 0.5}]}))
         assert main(["excite", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: inputs[0]: missing field 'low'\n"
+        assert capsys.readouterr().err == f"error: {cfg}: missing field 'inputs[0].low'\n"
 
     @pytest.mark.parametrize("field, value, message", [
         ("low", "130", "'inputs[0].low' must be float, got str '130'"),
@@ -83,8 +83,23 @@ class TestExcite:
         cfg.write_text(json.dumps({"inputs": [entry]}))
         outdir = tmp_path / "out"
         assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir)]) == 1
-        assert capsys.readouterr().err == f"error: config key {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: key {message}\n"
         assert not outdir.exists()
+
+
+    @pytest.mark.parametrize("user, args, message", [
+        pytest.param({"inputs": [_INPUT, _INPUT | {"name": "v", "step": 0.0}]}, [],
+                     "step must be > 0, got 0.0", id="second-step"),
+        pytest.param({}, ["--seed", "2147483646"],
+                     "seed must lie in [1, 2147483646], got 2147483647", id="second-seed"),
+    ])
+    def test_bad_second_input_writes_no_schedule(self, tmp_path, capsys, user, args, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        outdir = tmp_path / "out"
+        assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir), *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(outdir.glob("excitation_*.txt"))
 
 
 class TestPreset:
@@ -285,19 +300,21 @@ class TestIdentify:
         assert capsys.readouterr().err.startswith(f"error: {stage}: ")
 
     @pytest.mark.parametrize("fixed, message", [
-        pytest.param([{"n": 2}], "fixed_orders[0]: missing field 'channels'", id="no-channels"),
+        pytest.param([{"n": 2}], "missing field 'fixed_orders[0].channels'", id="no-channels"),
         pytest.param([{"n": 2, "channels": [{"p": 1, "m": 1}]}],
-                     "fixed_orders[0].channels[0]: missing field 'd'", id="no-delay"),
+                     "missing field 'fixed_orders[0].channels[0].d'", id="no-delay"),
     ])
     def test_fixed_orders_entry_missing_field_named(self, tmp_path, capsys, fixed, message):
         _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=120)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_train": 100, "fixed_orders": fixed}))
+        outdir = tmp_path / "out"
         assert main([
             "identify", "--config", str(cfg_path),
-            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(tmp_path / "out"),
+            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(outdir),
         ]) == 1
-        assert capsys.readouterr().err == f"error: structure: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("channel, entry, message", [
         pytest.param({"p": 2.7}, {}, "'fixed_orders[0].channels[0].p' must be int, got float 2.7",
@@ -322,8 +339,8 @@ class TestIdentify:
             "identify", "--config", str(cfg_path),
             "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(outdir),
         ]) == 1
-        assert capsys.readouterr().err == f"error: structure: config key {message}\n"
-        assert not (outdir / "model.json").exists()
+        assert capsys.readouterr().err == f"error: {cfg_path}: key {message}\n"
+        assert not outdir.exists()
 
     def test_std_ddof_out_of_range_fails_in_validate_stage(self, tmp_path, capsys):
         _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=400)

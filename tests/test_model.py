@@ -214,6 +214,11 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="delay"):
             LinearDynamics(a=(), b=(1.0,), d=-1)
 
+    def test_repeated_signal_name_rejected(self):
+        ch = HammersteinChannel(StaticNonlinearity(), LinearDynamics((), (1.0,), 0))
+        with pytest.raises(ValueError, match="^signal name 'u' is repeated$"):
+            MimoHammersteinModel(channels=((ch,),), input_names=("u",), output_names=("u",))
+
 
 class TestDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -226,3 +231,7 @@ class TestDataset:
         inputs[6, 1] = bad
         with pytest.raises(ValueError, match="series 'u2'"):
             Dataset(1.0, inputs, np.zeros((10, 1)), ("u1", "u2"), ("y",))
+
+    def test_repeated_signal_name_rejected(self):
+        with pytest.raises(ValueError, match="^signal name 'y' is repeated$"):
+            Dataset(1.0, np.ones((10, 1)), np.zeros((10, 2)), ("u",), ("y", "y"))

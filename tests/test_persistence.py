@@ -11,6 +11,7 @@ from hammid import (
     MimoHammersteinModel,
     StaticNonlinearity,
     gtaw_pool_model,
+    load_config,
     load_dataset,
     load_model,
     load_series,
@@ -272,6 +273,8 @@ class TestDatasetFiles:
         pytest.param(lambda ls: ls.pop(2), ": missing '# inputs:' line", id="no-inputs-line"),
         pytest.param(lambda ls: ls.__setitem__(4, "index,u,z"),
                      ":5: columns 'u,z' != inputs and outputs 'u,y'", id="columns"),
+        pytest.param(lambda ls: ls.__setitem__(slice(3, 5), ["# outputs: u", "index,u,u"]),
+                     ":5: signal name 'u' is repeated", id="repeated-name"),
         pytest.param(lambda ls: ls.__setitem__(4, "idx,u,y"),
                      ":5: expected an 'index,...' column header", id="no-index-column"),
         pytest.param(lambda ls: ls.pop(), ": no data rows", id="no-rows"),
@@ -351,9 +354,9 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda doc: doc["channels"][0][0].update(n=3),
-                     "channel[0][0]: stated orders do not match coefficients", id="orders"),
+                     "channels[0][0]: stated orders do not match coefficients", id="orders"),
         pytest.param(lambda doc: doc["channels"][1][0].pop("b"),
-                     "channel[1][0]: missing field 'b'", id="channel-field"),
+                     "missing field 'channels[1][0].b'", id="channel-field"),
         pytest.param(lambda doc: doc.update(n_inputs=3),
                      "stated arity does not match the channel grid", id="arity"),
     ])
@@ -370,7 +373,26 @@ class TestModelFiles:
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda doc: doc.pop("n_inputs"), "missing field 'n_inputs'", id="n_inputs"),
         pytest.param(lambda doc: doc.pop("n_outputs"), "missing field 'n_outputs'", id="n_outputs"),
-        pytest.param(lambda doc: doc.update(channels=5), "not iterable", id="channels"),
+        pytest.param(lambda doc: doc.update(channels=5),
+                     "key 'channels' must be list, got int 5", id="channels"),
+        pytest.param(lambda doc: doc["channels"][0][1].update(d=2.7),
+                     "key 'channels[0][1].d' must be int, got float 2.7", id="real-delay"),
+        pytest.param(lambda doc: doc["channels"][0][1].update(d=True),
+                     "key 'channels[0][1].d' must be int, got bool True", id="bool-delay"),
+        pytest.param(lambda doc: doc["channels"][0][1].update(d="1"),
+                     "key 'channels[0][1].d' must be int, got str '1'", id="string-delay"),
+        pytest.param(lambda doc: doc["channels"][0][0].update(r=["0.5"]),
+                     "key 'channels[0][0].r[0]' must be float, got str '0.5'", id="string-coeff"),
+        pytest.param(lambda doc: doc.update(input_names="uv"),
+                     "key 'input_names' must be list, got str 'uv'", id="string-names"),
+        pytest.param(lambda doc: doc.update(operating_point=[["I_p", 150]]),
+                     "key 'operating_point' must be dict, got list [['I_p', 150]]",
+                     id="pairs-operating-point"),
+        pytest.param(lambda doc: doc["operating_point"].update(I_p="x"),
+                     "key 'operating_point.I_p' must be float, got str 'x'",
+                     id="string-operating-point"),
+        pytest.param(lambda doc: doc.update(metadata=[]),
+                     "key 'metadata' must be dict, got list []", id="list-metadata"),
     ])
     def test_missing_or_mistyped_field_rejected(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
@@ -378,8 +400,9 @@ class TestModelFiles:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError, match=message):
+        with pytest.raises(FileFormatError) as err:
             load_model(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("where, number", [
         pytest.param(("channels", 0, 0, "b", 0), "NaN", id="coefficient-nan"),
@@ -403,3 +426,25 @@ class TestModelFiles:
         path.write_text("[1, 2]\n")
         with pytest.raises(FileFormatError, match="expected a JSON object, got list"):
             load_model(path)
+
+
+@pytest.mark.parametrize("load", [load_config, load_model])
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"estimator": {"alpha_sq": NaN}}', ": non-finite number: NaN", id="nan"),
+    pytest.param('{"estimator": {"alpha_sq": Infinity}}', ": non-finite number: Infinity",
+                 id="infinity"),
+    pytest.param('{"estimator": {"alpha_sq": -Infinity}}', ": non-finite number: -Infinity",
+                 id="minus-infinity"),
+    pytest.param('{"estimator": {"alpha_sq": 1e400}}', ": non-finite number: 1e400",
+                 id="overflowing-literal"),
+    pytest.param('{\n  "seed": 3,\n}\n',
+                 ":3: invalid JSON: Expecting property name enclosed in double quotes",
+                 id="invalid-json"),
+    pytest.param("[1, 2]\n", ": expected a JSON object, got list", id="list"),
+])
+def test_config_and_model_share_one_json_reader(tmp_path, load, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as err:
+        load(str(path))
+    assert str(err.value) == f"{path}{message}"

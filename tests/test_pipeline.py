@@ -87,25 +87,27 @@ def test_unknown_config_key_rejected(tmp_path, user, key):
 
 
 @pytest.mark.parametrize("text, message", [
-    pytest.param("[1]", "top level must be an object, got list", id="list"),
-    pytest.param('{\n  "seed": 3,\n  "n_samples"', "invalid JSON at line 3: ", id="truncated"),
+    pytest.param("[1]", ": expected a JSON object, got list$", id="list"),
+    pytest.param('{\n  "seed": 3,\n  "n_samples"', ":3: invalid JSON: ", id="truncated"),
 ])
 def test_malformed_config_file_named(tmp_path, text, message):
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))}: {message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
         load_config(str(path))
 
 
 @pytest.mark.parametrize("user, message", [
-    ({"inputs": [3]}, "inputs[0] must be an object, got 3"),
-    ({"inputs": [{"name": "u", "low": 0.0, "high": 1.0}]}, "inputs[0]: missing field 'step'"),
-    ({"outputs": [{"unit": "mm"}]}, "outputs[0]: missing field 'name'"),
+    pytest.param({"inputs": [3]}, "key 'inputs[0]' must be dict, got int 3", id="non-object"),
+    pytest.param({"inputs": [{"name": "u", "low": 0.0, "high": 1.0}]},
+                 "missing field 'inputs[0].step'", id="input-no-step"),
+    pytest.param({"outputs": [{"unit": "mm"}]}, "missing field 'outputs[0].name'",
+                 id="output-no-name"),
 ])
 def test_list_entry_fields_required(tmp_path, user, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(user))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_config(str(path))
 
 
@@ -125,27 +127,34 @@ _INPUT = {"name": "u", "low": 0, "high": 1.0, "step": 0.5}  # an integer for a r
 
 @pytest.mark.parametrize("user, message", [
     pytest.param({"validation": {"one_step_ahead": "false"}},
-                 "config key 'validation.one_step_ahead' must be bool, got str 'false'",
+                 "key 'validation.one_step_ahead' must be bool, got str 'false'",
                  id="string-bool"),
     pytest.param({"preprocess": {"median_window": 5.0}},
-                 "config key 'preprocess.median_window' must be int, got float 5.0",
+                 "key 'preprocess.median_window' must be int, got float 5.0",
                  id="real-for-int"),
-    pytest.param({"structure": 4}, "config key 'structure' must be dict, got int 4",
+    pytest.param({"structure": 4}, "key 'structure' must be dict, got int 4",
                  id="scalar-for-section"),
     pytest.param({"inputs": [_INPUT | {"low": "130"}]},
-                 "config key 'inputs[0].low' must be float, got str '130'", id="entry-string-real"),
+                 "key 'inputs[0].low' must be float, got str '130'", id="entry-string-real"),
     pytest.param({"inputs": [_INPUT | {"seed": 7.0}]},
-                 "config key 'inputs[0].seed' must be int, got float 7.0", id="entry-real-seed"),
+                 "key 'inputs[0].seed' must be int, got float 7.0", id="entry-real-seed"),
     pytest.param({"inputs": [_INPUT | {"name": 3}]},
-                 "config key 'inputs[0].name' must be str, got int 3", id="entry-integer-name"),
+                 "key 'inputs[0].name' must be str, got int 3", id="entry-integer-name"),
     pytest.param({"outputs": [{"name": "y"}, {"name": "z", "unit": None}]},
-                 "config key 'outputs[1].unit' must be str, got NoneType None",
+                 "key 'outputs[1].unit' must be str, got NoneType None",
                  id="entry-null-unit"),
 ])
 def test_mistyped_config_value_rejected(tmp_path, user, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(user))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_config(str(path))
+
+
+def test_repeated_signal_name_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"inputs": [_INPUT, _INPUT]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: signal name 'u' is repeated$"):
         load_config(str(path))
 
 
