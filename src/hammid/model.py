@@ -14,6 +14,7 @@ touches it.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,10 +111,21 @@ def simulate_channel(ch: HammersteinChannel, u) -> np.ndarray:
     return simulate_linear(ch.dynamics, eval_nonlinearity(ch.nonlinearity, u))
 
 
-def check_unique_names(names) -> None:
-    """Reject a signal name that appears more than once in ``names``."""
+def check_signal_names(names) -> None:
+    """The signal-name rule: each name in ``names`` is non-empty, has no
+    leading or trailing white space, contains no ``,``, ``=``, ``/``, ``\\``
+    or control character, and appears only once.  Names become parts of file
+    names and cells of a dataset file's header lines, which use these
+    characters as separators."""
     seen = set()
     for name in names:
+        if not name:
+            raise ValueError(f"signal name {name!r} is empty")
+        if name != name.strip():
+            raise ValueError(f"signal name {name!r} has leading or trailing white space")
+        bad = [c for c in name if c in ",=/\\" or unicodedata.category(c) == "Cc"]
+        if bad:
+            raise ValueError(f"signal name {name!r} contains {bad[0]!r}")
         if name in seen:
             raise ValueError(f"signal name {name!r} is repeated")
         seen.add(name)
@@ -154,7 +166,7 @@ class MimoHammersteinModel:
             raise ValueError("output_names does not match the channel grid")
         if len(self.input_names) != width:
             raise ValueError("input_names does not match the channel grid")
-        check_unique_names(self.input_names + self.output_names)
+        check_signal_names(self.input_names + self.output_names)
 
     @property
     def n_inputs(self) -> int:
@@ -232,7 +244,7 @@ class Dataset:
             raise ValueError("input_names does not match the input columns")
         if self.outputs.shape[1] != len(self.output_names):
             raise ValueError("output_names does not match the output columns")
-        check_unique_names(self.input_names + self.output_names)
+        check_signal_names(self.input_names + self.output_names)
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ValueError(
                 f"input length {self.inputs.shape[0]} != output length {self.outputs.shape[0]}"

@@ -51,7 +51,7 @@ from .model import (
     LinearDynamics,
     MimoHammersteinModel,
     StaticNonlinearity,
-    check_unique_names,
+    check_signal_names,
 )
 
 MODEL_SCHEMA_VERSION = 1
@@ -203,7 +203,7 @@ def load_dataset(path) -> Dataset:
         raise FileFormatError(path, header_line, f"columns {','.join(names)!r} != "
                               f"inputs and outputs {','.join(inputs + outputs)!r}")
     try:
-        check_unique_names(names)
+        check_signal_names(names)
     except ValueError as e:
         raise FileFormatError(path, header_line, str(e)) from None
     units, raw_op = (

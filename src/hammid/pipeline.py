@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import estimate, preprocess, structure, validate
-from .model import Dataset, MimoHammersteinModel, check_unique_names
+from .model import Dataset, MimoHammersteinModel, check_signal_names
 from .persistence import FileFormatError, check_entry, check_type, read_json_object
 
 DEFAULT_CONFIG: dict = {
@@ -94,7 +94,8 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     ``high`` and ``step`` (real), optionally ``unit`` (str) and ``seed``
     (int); an ``outputs`` entry holds ``name`` (str), optionally ``unit``
     (str); a ``fixed_orders`` entry holds ``n`` (int) and ``channels``, a
-    list of ``{p, m, d}`` ints.  Further entry fields are kept.
+    list of ``{p, m, d}`` ints.  Further entry fields are kept.  Signal
+    names follow :func:`model.check_signal_names`.
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     user = {} if path is None else read_json_object(path)
@@ -111,7 +112,7 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
             check_entry(entry, f"fixed_orders[{idx}]", _ORDERS_FIELDS)
             for k, c in enumerate(entry["channels"]):
                 check_entry(c, f"fixed_orders[{idx}].channels[{k}]", _ORDERS_CHANNEL_FIELDS)
-        check_unique_names([spec["name"] for spec in cfg["inputs"] + cfg["outputs"]])
+        check_signal_names([spec["name"] for spec in cfg["inputs"] + cfg["outputs"]])
     except ValueError as e:
         raise FileFormatError(path, None, str(e)) from None
     return cfg

@@ -16,15 +16,14 @@ compression).  The candidates of one sweep are nested: the scan's
 candidate at d spans the one at d + 1 plus input j's lag-d columns, and the
 p, n and m sweeps each add one group of columns per step.  So each sweep
 re-orders R's columns, new columns of each candidate after the previous
-candidate's and r_y last, and re-factors once; every candidate's loss is
-then a tail sum of squares of the last column of that one factor.  A
-candidate whose leading block fails a rank test (1-norm condition estimate
-against the eps * rows cutoff of a direct solve) is solved by least squares
-on the factor instead, with that cutoff, so exact data with dependent
-columns gives the direct solve's loss.  :func:`augment_columns`
-is the paper's partitioned update of a solution when columns are appended:
-it inverts only the Schur complement of the new columns and gives the same
-solution as a direct solve.
+candidate's and r_y last, and re-factors; every candidate's loss is then a
+tail sum of squares of the last column of that factor.  On exact data a
+column may lie in the span of the columns before it; the first such column
+is dropped and the factor re-computed, one column at a time, which changes
+no candidate's span and so no loss.  :func:`augment_columns` is the paper's
+partitioned update of a solution when columns are appended: it inverts only
+the Schur complement of the new columns and gives the same solution as a
+direct solve.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 
 from .estimate import (
     ChannelOrders,
@@ -113,15 +111,20 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
     column); each set in ``column_sets`` holds column indices of H and
     contains the set before it.  R's columns are re-ordered so that each
     set's new columns follow the previous set's, with r_y last, and
-    re-factored once into R'.  For the k columns of a set, the leading k x k
+    re-factored into R'.  For the k columns of a set, the leading k x k
     block of R' is then the R factor of that regression, and its residual
-    is the tail R'[k:, -1].  That holds while the block has full numerical
-    rank: its 1-norm reciprocal condition estimate must exceed k * eps * rows
-    (eps * rows is the cutoff the direct solve applies to singular values,
-    and k turns the 1-norm bound into a 2-norm one).  A block that fails the
-    test is solved by ``lstsq`` on R' with that cutoff; an orthogonal
-    re-factorization keeps the singular values, so the truncation is the
-    same as a direct solve's.
+    is the tail R'[k:, -1].
+
+    That holds while the block has full rank.  A column whose diagonal
+    entry in R' is at most eps * rows * ||R_S||_F (R_S: R's columns in the
+    sets), or which has no diagonal entry because R' has fewer rows than
+    columns, lies in the span of the columns before it, and so in every
+    later set's span.  The first such column is dropped, every set size
+    that counted it goes down by one, and R is re-factored, until no column
+    is flagged.  Only the first flagged column may be dropped at a time:
+    unpivoted QR leaves a round-off row behind a dependent column, the
+    diagonal entries after it no longer reveal rank, and independent
+    columns would be flagged too.
     """
     order: list[int] = []
     sizes = []
@@ -131,22 +134,18 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
             raise ValueError("column sets are not nested")
         order += sorted(cols.difference(order))
         sizes.append(len(order))
-    Rn = np.linalg.qr(R[:, order + [R.shape[1] - 1]], mode="r")
+    tol = np.finfo(float).eps * n_rows * np.linalg.norm(R[:, order])
+    while True:
+        Rn = np.linalg.qr(R[:, order + [R.shape[1] - 1]], mode="r")
+        diag = np.abs(np.diag(Rn))[:len(order)]
+        dependent = np.flatnonzero(diag <= tol)
+        i = dependent[0] if dependent.size else len(diag)
+        if i == len(order):
+            break
+        del order[i]
+        sizes = [k - (k > i) for k in sizes]
     b = Rn[:, -1]
-    cutoff = np.finfo(float).eps * n_rows
-    losses = np.empty(len(sizes))
-    for i, k in enumerate(sizes):
-        if k == 0 or (
-            k <= Rn.shape[0]
-            and scipy.linalg.lapack.dtrcon(Rn[:k, :k], norm="1")[0] > k * cutoff
-        ):
-            r = b[k:]
-        else:
-            A = Rn[:, :k]
-            theta, *_ = np.linalg.lstsq(A, b, rcond=cutoff)
-            r = b - A @ theta
-        losses[i] = float(r @ r) / n_rows
-    return losses
+    return np.array([float(b[k:] @ b[k:]) / n_rows for k in sizes])
 
 
 class _CompressedBank:
@@ -342,8 +341,13 @@ def select_structure(
     smallest order whose successor improves J by less than the plateau
     threshold, or whose J is already below the convergence floor (relative
     to output power) — the stopping rule for noise-free data, where J keeps
-    shrinking by large factors all the way down to round-off.
+    shrinking by large factors all the way down to round-off.  Both
+    thresholds must be >= 0; a negative one would never stop a sweep.
     """
+    for name, value in (("plateau_threshold", plateau_threshold),
+                        ("convergence_floor", convergence_floor)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     delays = [int(d) for d in delays]
     if len(delays) != data.n_inputs:
         raise ValueError(f"need one delay per input, got {len(delays)}")

@@ -13,6 +13,18 @@ import numpy as np
 from hammid import Dataset, gtaw_pool_model, simulate_mimo
 from hammid.excitation import AmplitudeGrid, generate_excitation
 
+# signal names the signal-name rule rejects: id -> (name, end of the message)
+BAD_SIGNAL_NAMES = {
+    "slash": ("a/b", "contains '/'"),
+    "backslash": ("a\\b", "contains " + repr("\\")),
+    "comma": ("I,p", "contains ','"),
+    "equals": ("I=p", "contains '='"),
+    "leading-space": (" I_p", "has leading or trailing white space"),
+    "trailing-space": ("I_p ", "has leading or trailing white space"),
+    "empty": ("", "is empty"),
+    "tab": ("a\tb", "contains " + repr("\t")),
+}
+
 # published weld-pool coefficients, retyped independently of the package
 ORACLE_A1 = [-1.73603, 0.728305, 0.580712, -0.85552, 0.320009]
 ORACLE_A2 = [-1.29125, 0.253601, 0.543266, -0.69655, 0.240607]

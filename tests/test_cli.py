@@ -6,7 +6,12 @@ import pytest
 from hammid import gtaw_pool_model, load_dataset, load_model, load_series, save_dataset
 from hammid.cli import main
 
-from helpers import expected_preset_theta, preset_oracle_dataset, recursion_oracle
+from helpers import (
+    BAD_SIGNAL_NAMES,
+    expected_preset_theta,
+    preset_oracle_dataset,
+    recursion_oracle,
+)
 
 _INPUT = {"name": "u", "low": 0.0, "high": 1.0, "step": 0.5}
 FIXED_PRESET_ORDERS = [
@@ -100,6 +105,17 @@ class TestExcite:
         assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir), *args]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(outdir.glob("excitation_*.txt"))
+
+    @pytest.mark.parametrize("name, reason", BAD_SIGNAL_NAMES.values(),
+                             ids=BAD_SIGNAL_NAMES.keys())
+    def test_bad_signal_name_no_directory(self, tmp_path, capsys, name, reason):
+        # the name would become part of a schedule's file name
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": [_INPUT, _INPUT | {"name": name}]}))
+        outdir = tmp_path / "out"
+        assert main(["excite", "--config", str(cfg), "--output-dir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: signal name {name!r} {reason}\n"
+        assert not outdir.exists()
 
 
 class TestPreset:
@@ -298,6 +314,33 @@ class TestIdentify:
             "--dataset", str(tmp_path / dataset), "--output-dir", str(tmp_path / "out"),
         ]) == 1
         assert capsys.readouterr().err.startswith(f"error: {stage}: ")
+
+    @pytest.mark.parametrize("key", ["slash", "backslash"])
+    def test_bad_dataset_signal_name_writes_nothing(self, tmp_path, capsys, key):
+        # the output name would become part of its validation trace's file name
+        name, reason = BAD_SIGNAL_NAMES[key]
+        dataset_path = tmp_path / "oracle.csv"
+        _write_oracle_dataset(dataset_path)
+        dataset_path.write_text(dataset_path.read_text().replace("W_b", name))
+        outdir = tmp_path / "out"
+        assert main([
+            "identify", "--dataset", str(dataset_path), "--output-dir", str(outdir),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: load: {dataset_path}:6: signal name {name!r} {reason}\n"
+        )
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("key", ["plateau_threshold", "convergence_floor"])
+    def test_negative_search_threshold_fails_in_structure_stage(self, tmp_path, capsys, key):
+        _write_oracle_dataset(tmp_path / "oracle.csv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"structure": {key: -0.5}}))
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: structure: {key} must be >= 0, got -0.5\n"
 
     @pytest.mark.parametrize("fixed, message", [
         pytest.param([{"n": 2}], "missing field 'fixed_orders[0].channels'", id="no-channels"),

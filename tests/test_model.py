@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,11 @@ from hammid import (
 )
 from hammid.excitation import AmplitudeGrid, generate_excitation
 
-from helpers import ORACLE_CHANNELS, oracle_mimo, recursion_oracle
+from helpers import BAD_SIGNAL_NAMES, ORACLE_CHANNELS, oracle_mimo, recursion_oracle
+
+bad_signal_names = pytest.mark.parametrize(
+    "name, reason", BAD_SIGNAL_NAMES.values(), ids=BAD_SIGNAL_NAMES.keys()
+)
 
 
 class TestNonlinearity:
@@ -219,6 +225,12 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="^signal name 'u' is repeated$"):
             MimoHammersteinModel(channels=((ch,),), input_names=("u",), output_names=("u",))
 
+    @bad_signal_names
+    def test_bad_signal_name_rejected(self, name, reason):
+        ch = HammersteinChannel(StaticNonlinearity(), LinearDynamics((), (1.0,), 0))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'signal name {name!r} {reason}')}$"):
+            MimoHammersteinModel(channels=((ch,),), input_names=("u",), output_names=(name,))
+
 
 class TestDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -235,3 +247,13 @@ class TestDataset:
     def test_repeated_signal_name_rejected(self):
         with pytest.raises(ValueError, match="^signal name 'y' is repeated$"):
             Dataset(1.0, np.ones((10, 1)), np.zeros((10, 2)), ("u",), ("y", "y"))
+
+    @bad_signal_names
+    def test_bad_signal_name_rejected(self, name, reason):
+        # such a name would break a file name or the dataset header on save
+        with pytest.raises(ValueError, match=f"^{re.escape(f'signal name {name!r} {reason}')}$"):
+            Dataset(1.0, np.ones((10, 1)), np.zeros((10, 1)), (name,), ("y",))
+
+    def test_inner_space_accepted(self):
+        data = Dataset(1.0, np.ones((10, 1)), np.zeros((10, 1)), ("input 0",), ("y",))
+        assert data.input_names == ("input 0",)

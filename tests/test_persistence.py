@@ -275,6 +275,14 @@ class TestDatasetFiles:
                      ":5: columns 'u,z' != inputs and outputs 'u,y'", id="columns"),
         pytest.param(lambda ls: ls.__setitem__(slice(3, 5), ["# outputs: u", "index,u,u"]),
                      ":5: signal name 'u' is repeated", id="repeated-name"),
+        pytest.param(lambda ls: ls.__setitem__(slice(3, 5), ["# outputs: y/b", "index,u,y/b"]),
+                     ":5: signal name 'y/b' contains '/'", id="slash-name"),
+        pytest.param(lambda ls: ls.__setitem__(slice(3, 5), ["# outputs: y\\b", "index,u,y\\b"]),
+                     ":5: signal name 'y\\\\b' contains '\\\\'", id="backslash-name"),
+        pytest.param(lambda ls: ls.__setitem__(slice(3, 5), ["# outputs: y=b", "index,u,y=b"]),
+                     ":5: signal name 'y=b' contains '='", id="equals-name"),
+        pytest.param(lambda ls: ls.__setitem__(slice(3, 5), ["# outputs: y\tb", "index,u,y\tb"]),
+                     ":5: signal name 'y\\tb' contains '\\t'", id="tab-name"),
         pytest.param(lambda ls: ls.__setitem__(4, "idx,u,y"),
                      ":5: expected an 'index,...' column header", id="no-index-column"),
         pytest.param(lambda ls: ls.pop(), ": no data rows", id="no-rows"),

@@ -7,7 +7,7 @@ import hammid
 from hammid import StageError, estimate, identify, load_config, preprocess, structure, validate
 from hammid.cli import main
 
-from helpers import preset_oracle_dataset
+from helpers import BAD_SIGNAL_NAMES, preset_oracle_dataset
 
 
 def _oracle(n_samples):
@@ -155,6 +155,15 @@ def test_repeated_signal_name_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"inputs": [_INPUT, _INPUT]}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: signal name 'u' is repeated$"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("name, reason", BAD_SIGNAL_NAMES.values(), ids=BAD_SIGNAL_NAMES.keys())
+def test_bad_signal_name_rejected(tmp_path, name, reason):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"outputs": [{"name": "y"}, {"name": name}]}))
+    message = f"{path}: signal name {name!r} {reason}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_config(str(path))
 
 

@@ -153,16 +153,20 @@ def _reference_delay_scan(U, y, max_lag, n_fit=8, p_fit=4, pad=8):
 
 @st.composite
 def _nested_banks(draw):
-    """A bank [H y], some with planted dependent columns, and nested column sets."""
+    """A bank [H y], some with planted zero or dependent columns, and nested
+    column sets."""
     n_cols = draw(st.integers(1, 40))
     rows = n_cols + draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["independent", "exact", "near"]))
+    kind = draw(st.sampled_from(["independent", "zero", "exact", "near"]))
     noise = draw(st.sampled_from([0.0, 1e-6, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     H = rng.normal(size=(rows, n_cols))
     if kind != "independent" and n_cols >= 3:
         planted = draw(st.integers(1, n_cols // 2))
         for c in rng.choice(n_cols, size=planted, replace=False):
+            if kind == "zero":
+                H[:, c] = 0.0
+                continue
             a, b = rng.choice([i for i in range(n_cols) if i != c], size=2, replace=False)
             H[:, c] = 2.0 * H[:, a] - H[:, b]
             if kind == "near":
@@ -195,7 +199,6 @@ class TestNestedLosses:
                 # a 1e-9 near-dependence makes the problem itself ill-conditioned:
                 # two backward-stable solves differ by up to the first-order
                 # residual perturbation, eps (|A| |theta| + |y|) per unit of |r|
-                # (the per-candidate lstsq on R differs from this reference as much)
                 norm_a = np.linalg.norm(A, 2) if A.size else 0.0
                 d_r = 100 * eps * (norm_a * np.linalg.norm(theta) + np.linalg.norm(y))
                 tol += 2 * np.sqrt(rows * max(J, want)) * d_r / rows
@@ -220,13 +223,14 @@ class TestDelayEstimation:
             for est, losses in zip(ests, profiles):
                 _assert_losses_close(est.losses, losses, power)
 
-    def test_noisy_scan_and_search_run_no_per_candidate_solve(self, monkeypatch):
-        # every candidate block of the noisy preset passes the rank test, so its
-        # loss is a tail sum of the re-ordered factor and lstsq never runs
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_scan_and_search_run_no_per_candidate_solve(self, monkeypatch, noise_std):
+        # every loss, exact fits included, is a tail sum of the re-ordered
+        # factor, so lstsq never runs
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
+        data = preset_oracle_dataset(n_samples=1070, noise_std=noise_std)
         for s, delays in [(0, [1, 1]), (1, [3, 3])]:
             ests = estimate_delays(data.inputs, data.outputs[:, s], max_lag=10)
             assert [e.delay for e in ests] == delays
@@ -364,6 +368,13 @@ class TestSelectStructure:
         for losses in by_stage.values():
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-10 * max(1.0, a)
+
+    @pytest.mark.parametrize("key", ["plateau_threshold", "convergence_floor"])
+    def test_negative_threshold_rejected(self, key):
+        # a negative threshold would run every sweep to its bound
+        data = self._synthetic([0.25], [1.0, 0.5], 1, [-1.5, 0.7])
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -0.5$"):
+            select_structure(data, 0, [1], SearchBounds(4, 4, 3), **{key: -0.5})
 
     def test_insufficient_data_rejected(self):
         data = self._synthetic([0.2], [1.0], 0, [-0.5], n_samples=30)
