@@ -31,10 +31,12 @@ from .model import (
 ALPHA_SQ_BRACKET = (1e5, 1e10)
 DEFAULT_ALPHA_SQ = 1e6
 # Rows per rank-B update in run_rls.  On the fixed-rls benchmark regressions
-# (5e4 rows of 37 and 41 columns, 2-core OpenBLAS) 32 to 48 rows took the same
-# time, about 0.2 s per output; 32 keeps the (B + d)-square QR below about 96,
-# where a two-thread OpenBLAS geqrf ran 2-5x slower than one thread.
-_BLOCK_ROWS = 32
+# (5e4 rows of 37 and 41 columns, 2-core OpenBLAS, median of 7 runs, both
+# outputs) 32, 64, 96, 128, 192, 256, 512 and 1024 rows took 0.25, 0.15,
+# 0.11, 0.09, 0.11, 0.16, 0.18 and 0.17 s with two BLAS threads, and 0.22,
+# 0.14, 0.11, 0.10, 0.09, 0.08, 0.05 and 0.07 s with one; 128 is the
+# two-thread minimum and within 0.05 s of the one-thread one.
+_BLOCK_ROWS = 128
 _BATCH_RCOND = 1e-10  # singular values below this share of the largest count as zero
 
 
@@ -217,16 +219,24 @@ def batch_ls(prob: RegressionProblem) -> BatchResult:
 
 @dataclass
 class EstimatorState:
-    """Running estimate theta and the upper factor U of P = U'U (P derived)."""
+    """Upper information factor R (P^-1 = R'R) and z with R theta = z.
 
-    theta: np.ndarray
-    U: np.ndarray
+    theta and P are derived on demand; the recursion only updates R and z.
+    """
+
+    R: np.ndarray
+    z: np.ndarray
     samples_seen: int = 0
 
     @property
+    def theta(self) -> np.ndarray:
+        return scipy.linalg.solve_triangular(self.R, self.z, check_finite=False)
+
+    @property
     def P(self) -> np.ndarray:
-        # numpy computes U'U by a symmetric rank-k product, so P is exactly symmetric
-        return self.U.T @ self.U
+        Ri = scipy.linalg.solve_triangular(self.R, np.eye(len(self.z)), check_finite=False)
+        # numpy computes Ri Ri' by a symmetric rank-k product, so P is exactly symmetric
+        return Ri @ Ri.T
 
     def covariance_is_positive_definite(self) -> bool:
         """Check P > 0 by attempting a symmetric (Cholesky) factorization."""
@@ -238,7 +248,7 @@ class EstimatorState:
 
 
 def init_estimator(dim: int, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
-    """Start from theta = 0 and P = alpha_sq * I (U = sqrt(alpha_sq) * I).
+    """Start from theta = 0 and P = alpha_sq * I (R = I / sqrt(alpha_sq), z = 0).
 
     alpha_sq is expected in [1e5, 1e10]; values outside are accepted with a
     warning since they merely weaken or harden the zero prior.
@@ -253,7 +263,7 @@ def init_estimator(dim: int, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorSta
             f"alpha_sq={alpha_sq:g} outside the recommended bracket [{lo:g}, {hi:g}]",
             stacklevel=2,
         )
-    return EstimatorState(theta=np.zeros(dim), U=np.sqrt(alpha_sq) * np.eye(dim))
+    return EstimatorState(R=np.eye(dim) / np.sqrt(alpha_sq), z=np.zeros(dim))
 
 
 def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
@@ -262,42 +272,43 @@ def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
     theta' = theta + P phi (1 + phi' P phi)^-1 (y - phi' theta)
     P'     = P - P phi (1 + phi' P phi)^-1 phi' P
 
-    Computed as the one-row case of :func:`_block_update` on the factor U,
-    so P stays positive definite; :func:`run_rls` applies it to many rows.
+    Computed as the one-row case of :func:`_block_update` on the information
+    factor R, so P stays positive definite; :func:`run_rls` applies it to
+    many rows.
     """
     phi = np.asarray(phi, dtype=float).ravel()
-    if phi.shape != state.theta.shape:
-        raise ValueError(f"regressor dim {phi.shape} != state dim {state.theta.shape}")
+    if phi.shape != state.z.shape:
+        raise ValueError(f"regressor dim {phi.shape} != state dim {state.z.shape}")
     if not (np.all(np.isfinite(phi)) and np.isfinite(y_k)):
         raise ValueError("non-finite regressor or target")
     return _block_update(state, phi[None, :], [y_k])
 
 
 def _block_update(state: EstimatorState, Phi: np.ndarray, y) -> EstimatorState:
-    """Rank-B update of theta and of the upper factor U of P = U'U by B rows Phi.
+    """Rank-B update of the information factor R and of z = R theta by B rows Phi.
 
-    One QR of the (B+d)-square pre-array
+    One QR of the tall (d+B) x (d+1) array
 
-        [ I       0 ]         [ X'  Y' ]
-        [ U Phi'  U ]  =  Q   [ 0   U+ ]
+        [ R    z ]         [ R+  z+ ]
+        [ Phi  y ]  =  Q   [ 0   *  ]
 
-    gives X X' = S = I + Phi P Phi' and Y X' = P Phi', so the gain is
-    K = P Phi' S^-1 = Y X^-1, theta+ = theta + K (y - Phi theta), and
-    U+'U+ = P - K Phi P.  This is B rank-one updates in one step, in
-    square-root (array) form: P itself is never updated, so round-off cannot
-    make it indefinite.
+    gives R+'R+ = R'R + Phi'Phi, the information after the B rows, and
+    R+'z+ = R'z + Phi'y, so theta+ = R+^-1 z+ minimizes the same regularized
+    residual as B rank-one covariance updates.  This is Bierman's
+    square-root information filter (Factorization Methods for Discrete
+    Sequential Estimation, 1977): neither P nor P^-1 is formed, so round-off
+    cannot make them indefinite.
     """
-    theta, U = state.theta, state.U
+    R, z = state.R, state.z
     B, d = Phi.shape
-    M = np.zeros((B + d, B + d), order="F")
-    M[:B, :B] = np.eye(B)
-    M[B:, :B] = U @ Phi.T
-    M[B:, B:] = U
-    # R is the upper triangle of the factored array; geqrf leaves the
-    # reflectors below it, so only R's upper blocks are read as they are.
-    R = scipy.linalg.lapack.dgeqrf(M, overwrite_a=True)[0]
-    w = scipy.linalg.solve_triangular(R[:B, :B], y - Phi @ theta, trans="T", check_finite=False)
-    return EstimatorState(theta + w @ R[:B, B:], np.triu(R[B:, B:]), state.samples_seen + B)
+    M = np.empty((d + B, d + 1), order="F")
+    M[:d, :d] = R
+    M[:d, d] = z
+    M[d:, :d] = Phi
+    M[d:, d] = y
+    # geqrf leaves the reflectors below the triangle, so R+ is cut out by triu
+    F = scipy.linalg.lapack.dgeqrf(M, overwrite_a=True)[0]
+    return EstimatorState(np.triu(F[:d, :d]), F[:d, d].copy(), state.samples_seen + B)
 
 
 def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:

@@ -9,6 +9,7 @@ identical series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,30 @@ def lcg_next(s: LcgState) -> tuple[LcgState, float]:
     return LcgState(nxt), nxt / MINSTD_MODULUS
 
 
+def _lcg_states(seed: int, count: int) -> np.ndarray:
+    """The generator's next ``count`` states from ``seed``: x_k = seed * a^k mod m.
+
+    Jump-ahead in int64: a table of a^r mod m for r = 1..B and the state at
+    the start of every block of B; every product of two residues stays
+    below 2^62.
+    """
+    block = max(1, math.isqrt(count))
+    a, m = MINSTD_MULTIPLIER, MINSTD_MODULUS
+    powers = np.array([pow(a, r, m) for r in range(1, block + 1)], dtype=np.int64)
+    jump = pow(a, block, m)
+    starts = np.array([seed * pow(jump, q, m) % m for q in range(-(-count // block))],
+                      dtype=np.int64)
+    return (starts[:, None] * powers % m).ravel()[:count]
+
+
 def generate_excitation(
     grid: AmplitudeGrid, n_samples: int, seed: int, hold: int = 1
 ) -> np.ndarray:
     """Draw ``n_samples`` grid levels; each drawn level is held ``hold`` samples.
 
     A uniform u maps to level floor(u * n_levels), folded into the last
-    level at the (unreachable) top edge, so levels are hit uniformly.
+    level at the (unreachable) top edge, so levels are hit uniformly.  The
+    draws are those of repeated :func:`lcg_next` from ``LcgState(seed)``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -76,12 +94,7 @@ def generate_excitation(
         raise ValueError(f"hold must be >= 1, got {hold}")
     state = LcgState(seed)  # rejects zero/invalid seeds
     levels = grid.n_levels
-    out = np.empty(n_samples)
-    k = 0
-    while k < n_samples:
-        state, u = lcg_next(state)
-        value = grid.low + grid.step * min(int(u * levels), levels - 1)
-        run = min(hold, n_samples - k)
-        out[k:k + run] = value
-        k += run
-    return out
+    u = _lcg_states(state.state, -(-n_samples // hold)) / MINSTD_MODULUS
+    index = np.minimum((u * levels).astype(np.int64), levels - 1)
+    values = np.asarray(grid.low + grid.step * index, dtype=float)
+    return np.repeat(values, hold)[:n_samples]

@@ -101,8 +101,9 @@ def _write_table(path, magic: str, meta: dict, names, table) -> None:
     ``index,<names>`` header and one ``repr`` row per row of ``table``."""
     lines = [magic, *(f"# {key}: {value}" for key, value in meta.items()),
              "index," + ",".join(names)]
-    rows = np.asarray(table, dtype=float).tolist()
-    lines.extend(f"{k}," + ",".join(map(repr, row)) for k, row in enumerate(rows))
+    table = np.asarray(table, dtype=float)
+    columns = (map(repr, col) for col in table.T.tolist())
+    lines.extend(map(",".join, zip(map(str, range(len(table))), *columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -113,6 +114,11 @@ def _read_table(path, magic: str):
     ``# key: value`` key to its (line number, value text), ``names`` are the
     header's columns after ``index`` and ``table`` is the finite
     ``(rows, len(names))`` array.  The index column is not read.
+
+    The rows are parsed by one ``np.loadtxt`` call.  When it fails, or its
+    table is not one row per line and one column per header name, the rows
+    are parsed again cell by cell, so that an error names its line and
+    column.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != magic:
@@ -129,8 +135,30 @@ def _read_table(path, magic: str):
         where = i + 1 if header else None
         raise FileFormatError(path, where, "expected an 'index,...' column header")
     names = tuple(header[1:])
+    body = lines[i + 1:]
+    table = None
+    if body:
+        try:
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is not None and table.shape == (len(body), len(header)):
+        table = np.ascontiguousarray(table[:, 1:])
+    else:
+        table = _parse_cells(path, body, i + 2, header)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise FileFormatError(path, i + 2 + int(k), f"non-finite {names[j]}: {table[k, j]}")
+    return meta, i + 1, names, table
+
+
+def _parse_cells(path, body: list, first_line: int, header: list) -> np.ndarray:
+    """Parse table rows cell by cell with ``float``; the first bad row or
+    cell raises a :class:`FileFormatError` naming its line (and column)."""
+    names = header[1:]
     rows = []
-    for line_no, line in enumerate(lines[i + 1:], start=i + 2):
+    for line_no, line in enumerate(body, start=first_line):
         cells = line.split(",")
         if len(cells) != len(header):
             raise FileFormatError(
@@ -144,12 +172,7 @@ def _read_table(path, magic: str):
             raise
     if not rows:
         raise FileFormatError(path, None, "no data rows")
-    table = np.array(rows)
-    bad = ~np.isfinite(table)
-    if bad.any():
-        k, j = np.argwhere(bad)[0]
-        raise FileFormatError(path, i + 2 + int(k), f"non-finite {names[j]}: {table[k, j]}")
-    return meta, i + 1, names, table
+    return np.array(rows)
 
 
 def save_series(path, values, name: str = "value") -> None:

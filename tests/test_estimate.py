@@ -197,6 +197,17 @@ class TestRls:
         np.testing.assert_array_equal(after.theta, state.theta)
         np.testing.assert_array_equal(after.P, state.P)
 
+    @pytest.mark.parametrize("dim", [1, 5, 45])
+    def test_zero_regressor_leaves_factor_bitwise_unchanged(self, dim):
+        # a zero row makes every Householder reflector of the update the identity
+        rng = np.random.default_rng(dim)
+        H = rng.normal(size=(3 * dim, dim))
+        state = run_rls(RegressionProblem(H=H, y=rng.normal(size=3 * dim), column_map=()))
+        after = rls_update(state, np.zeros(dim), 123.0)
+        assert after.R.tobytes() == state.R.tobytes()
+        assert after.z.tobytes() == state.z.tobytes()
+        assert after.samples_seen == state.samples_seen + 1
+
     def test_non_finite_rejected(self):
         state = init_estimator(1)
         with pytest.raises(ValueError):

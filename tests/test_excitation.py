@@ -105,3 +105,29 @@ class TestGenerateExcitation:
             generate_excitation(grid, 10, seed=0)
         with pytest.raises(ValueError):
             generate_excitation(grid, 10, seed=1, hold=0)
+
+
+def _lcg_fold(grid, n_samples, seed, hold):
+    """The schedule one draw at a time: a left fold of lcg_next."""
+    state, levels = LcgState(seed), grid.n_levels
+    out = np.empty(n_samples)
+    for k in range(0, n_samples, hold):
+        state, u = lcg_next(state)
+        out[k:k + hold] = grid.low + grid.step * min(int(u * levels), levels - 1)
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    AmplitudeGrid(130, 170, 2), AmplitudeGrid(4.0, 10.0, 0.5),
+    AmplitudeGrid(-1, 1, 1), AmplitudeGrid(0.1, 0.7, 0.2),
+], ids=["int", "half-step", "three-levels", "inexact-step"])
+def test_schedule_is_the_lcg_fold(grid):
+    """The jump-ahead draws equal repeated lcg_next bit for bit, for short
+    and long schedules, the largest seeds and lengths not divisible by hold."""
+    for n_samples in (1, 2, 7, 33, 1070, 4097):
+        for seed in (1, 12345, MINSTD_MODULUS - 2, MINSTD_MODULUS - 1):
+            for hold in (1, 2, 3, 8):
+                x = generate_excitation(grid, n_samples, seed, hold)
+                assert x.dtype == np.float64
+                assert x.tobytes() == _lcg_fold(grid, n_samples, seed, hold).tobytes(), (
+                    n_samples, seed, hold)

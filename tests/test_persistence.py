@@ -19,6 +19,7 @@ from hammid import (
     save_model,
     save_series,
 )
+from hammid import persistence
 from hammid.cli import main
 
 from helpers import preset_oracle_dataset
@@ -111,6 +112,75 @@ def _write_golden_trace(tmp_path):
 def test_golden_file_text(tmp_path, write, text):
     """Pins the exact bytes of every text data file the package writes."""
     assert write(tmp_path).read_bytes() == text.encode()
+
+
+_ODD_HEAD = "# hammid dataset v1\n# sample_period: 1.0\n# inputs: u\n# outputs: y\nindex,u,y\n"
+
+
+# Rows after a two-column header and what _read_table makes of them: the
+# table, or the error text after the path.  Each is what a per-cell
+# ``float`` parse gives; np.loadtxt rejects or reshapes many of these rows.
+@pytest.mark.parametrize("rows, expected", [
+    pytest.param("0,1.0,2.0\n\n1,3.0,4.0\n", ":7: expected 3 columns, got 1", id="blank-inside"),
+    pytest.param("0,1.0,2.0\n\n", ":7: expected 3 columns, got 1", id="blank-at-end"),
+    pytest.param("0,1.0,2.0\n   \n", ":7: expected 3 columns, got 1", id="space-line"),
+    pytest.param("0,1.0,2.0\r\n1,3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+    pytest.param("0,1_0,2.0\n", [[10.0, 2.0]], id="underscore"),
+    pytest.param("0, 1.5 ,2.0\n", [[1.5, 2.0]], id="space-padded"),
+    pytest.param("0,\t1.5,2.0\n", [[1.5, 2.0]], id="tab-padded"),
+    pytest.param("0,+1.5,2.0\n", [[1.5, 2.0]], id="plus-sign"),
+    pytest.param("0,-0.0,2.0\n", [[-0.0, 2.0]], id="negative-zero"),
+    pytest.param("a,1.5,2.0\n", [[1.5, 2.0]], id="text-index"),
+    pytest.param(",1.5,2.0\n", [[1.5, 2.0]], id="empty-index"),
+    pytest.param("0,1.0,2.0,3.0\n", ":6: expected 3 columns, got 4", id="extra-column"),
+    pytest.param("0,1.0\n", ":6: expected 3 columns, got 2", id="missing-column"),
+    pytest.param("0,1.0,nan\n", ":6: non-finite y: nan", id="nan"),
+    pytest.param("0,1e5000,2.0\n", ":6: non-finite u: inf", id="overflow"),
+    pytest.param("0,1.0,-Infinity\n", ":6: non-finite y: -inf", id="infinity"),
+    pytest.param("0,nan,2.0\n1,x,2.0\n", ":7: non-numeric u: 'x'", id="bad-cell-after-nan"),
+    pytest.param("0,0x1p3,2.0\n", ":6: non-numeric u: '0x1p3'", id="hex"),
+    pytest.param('0,"1.5",2.0\n', ":6: non-numeric u: '\"1.5\"'", id="quoted"),
+    pytest.param("0,1.5,2.0 # note\n", ":6: non-numeric y: '2.0 # note'", id="comment"),
+    pytest.param("0,,2.0\n", ":6: non-numeric u: ''", id="empty-cell"),
+    pytest.param("0,5e-324,2.225073858507201e-308\n", [[5e-324, 2.225073858507201e-308]],
+                 id="subnormal"),
+    pytest.param("0,.5,5.\n", [[0.5, 5.0]], id="bare-point"),
+    pytest.param("", ": no data rows", id="no-rows"),
+])
+def test_read_table_matches_per_cell_parse(tmp_path, rows, expected):
+    head = _ODD_HEAD.replace("\n", "\r\n") if "\r\n" in rows else _ODD_HEAD
+    path = tmp_path / "d.csv"
+    path.write_bytes((head + rows).encode())
+    if isinstance(expected, str):
+        with pytest.raises(FileFormatError) as err:
+            persistence._read_table(path, "# hammid dataset v1")
+        assert str(err.value) == f"{path}{expected}"
+    else:
+        table = persistence._read_table(path, "# hammid dataset v1")[3]
+        assert table.tobytes() == np.array(expected).tobytes()
+
+
+def test_loadtxt_reads_round_trip_decimals_bitwise(tmp_path, monkeypatch):
+    """17-digit values, subnormals, signed zeros and 1e+-300 load as ``float``
+    reads them, by the one-call parse alone."""
+    cells = [
+        ["0.30000000000000004", "0.1", "-0.0", "0.0"],
+        ["5e-324", "2.225073858507201e-308", "2.2250738585072014e-308", "1e-310"],
+        ["1e-300", "-1e+300", "1.7976931348623157e+308", "9007199254740993"],
+        ["0.3333333333333333", "-1.0000000000000002", "123456789.12345679", "1e-05"],
+    ]
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "# hammid series v1\nindex,a,b,c,d\n"
+        + "".join(f"{k}," + ",".join(row) + "\n" for k, row in enumerate(cells))
+    )
+
+    def per_cell_parse(*args):
+        raise AssertionError("fell back to the per-cell parse")
+
+    monkeypatch.setattr(persistence, "_parse_cells", per_cell_parse)
+    table = persistence._read_table(path, "# hammid series v1")[3]
+    assert table.tobytes() == np.array([[float(c) for c in row] for row in cells]).tobytes()
 
 
 class TestSeries:
