@@ -138,6 +138,12 @@ def build_regressor(
     each power i = 1..p_sj the lagged powered inputs u_j^i(k-d)..u_j^i(k-d-m).
     Rows run from ``start`` (default: the largest lag any column needs) to
     the end of the data; powers are taken of the stored deviation values.
+
+    Every column is written straight into one Fortran-ordered array [H y]
+    with y last, and ``H`` and ``y`` are views of it (``H.base``).  LAPACK
+    reads Fortran order, so a QR of [H y] takes that array as it is: at most
+    two copies of the regression are held at once, the array and the QR's
+    own (numpy's ``qr`` also fills a LAPACK work buffer of the same size).
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -154,10 +160,10 @@ def build_regressor(
             f"series of length {N} too short for orders needing lag {k0}"
         )
     y = data.outputs[:, output]
-    cols: list[np.ndarray] = []
+    Hy = np.empty((N - k0, orders.n_parameters + 1), order="F")
     cmap: list[Column] = []
     for i in range(1, orders.n + 1):
-        cols.append(-y[k0 - i:N - i])
+        np.negative(y[k0 - i:N - i], out=Hy[:, len(cmap)])
         cmap.append(Column("output_lag", lag=i))
     for j, ch in enumerate(orders.channels):
         u = data.inputs[:, j]
@@ -165,10 +171,10 @@ def build_regressor(
             up = u**power
             for l in range(ch.m + 1):
                 lag = ch.d + l
-                cols.append(up[k0 - lag:N - lag])
+                Hy[:, len(cmap)] = up[k0 - lag:N - lag]
                 cmap.append(Column("input_power", lag=lag, input=j, power=power))
-    H = np.column_stack(cols) if cols else np.zeros((N - k0, 0))
-    return RegressionProblem(H=H, y=y[k0:N].copy(), column_map=tuple(cmap))
+    Hy[:, -1] = y[k0:N]
+    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=tuple(cmap))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ import scipy.linalg
 
 from .estimate import (
     ChannelOrders,
-    Column,
     RegressionProblem,
     StructureOrders,
     build_regressor,
@@ -154,30 +153,38 @@ class _CompressedBank:
     For any subset S of the bank's columns, ||y - H_S theta|| equals
     ||r_y - R_S theta|| (r_y the last column of R), so every candidate
     regression inside the bank is solved on R alone.
+
+    The QR reads the Fortran-ordered [H y] array that
+    :func:`~hammid.estimate.build_regressor` wrote, so at most two copies of
+    the bank are held at once: that array and the QR's own (plus numpy's
+    LAPACK work buffer inside the QR call).  The bank keeps each column's
+    kind, lag, input and power as vectors, and :meth:`columns` compares
+    them with a candidate's orders.
     """
 
     def __init__(self, data: Dataset, orders: StructureOrders, output: int, start: int):
         prob = build_regressor(data, orders, output, start=start)
-        self.column_map = prob.column_map
         self.n_rows = prob.n_rows
-        Hy = np.column_stack([prob.H, prob.y])
-        del prob  # at most two copies of the bank alive: Hy and the QR's own
-        self.R = np.linalg.qr(Hy, mode="r")
+        cmap = prob.column_map
+        self._output_lag = np.array([c.kind == "output_lag" for c in cmap])
+        self._lag = np.array([c.lag for c in cmap])
+        # output lags belong to no input; 0 only keeps them a valid index
+        self._input = np.array([c.input or 0 for c in cmap])
+        self._power = np.array([c.power or 0 for c in cmap])
+        self.R = np.linalg.qr(prob.H.base, mode="r")
+
+    def columns(self, orders: StructureOrders) -> list[int]:
+        """Indices of the bank columns that the regression at ``orders`` uses."""
+        lag = self._lag
+        p, d, m = np.array([(c.p, c.d, c.m) for c in orders.channels])[self._input].T
+        used = np.where(self._output_lag, lag <= orders.n,
+                        (self._power <= p) & (d <= lag) & (lag <= d + m))
+        return np.flatnonzero(used).tolist()
 
     def losses(self, sweep) -> np.ndarray:
         """J of each candidate in ``sweep``, a sequence of orders each of
         which spans the bank columns of the one before it."""
-        return _nested_losses(self.R, self.n_rows, (
-            [i for i, c in enumerate(self.column_map) if _spans(orders, c)]
-            for orders in sweep
-        ))
-
-
-def _spans(orders: StructureOrders, col: Column) -> bool:
-    if col.kind == "output_lag":
-        return col.lag <= orders.n
-    ch = orders.channels[col.input]
-    return col.power <= ch.p and ch.d <= col.lag <= ch.d + ch.m
+        return _nested_losses(self.R, self.n_rows, (self.columns(orders) for orders in sweep))
 
 
 def _uniform_orders(n: int, m: int, p: int, delays) -> StructureOrders:

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import Dataset, MimoHammersteinModel, eval_nonlinearity, simulate_mimo
+from .model import (
+    Dataset,
+    MimoHammersteinModel,
+    eval_nonlinearity,
+    max_pole_radius,
+    simulate_mimo,
+)
 
 # Hold-out error statistics reported for the original 70-sample weld-pool
 # experiment (mm).  Kept as reference constants only: the raw welding records
@@ -66,6 +72,7 @@ class ValidationReport:
     predicted: np.ndarray  # (N_test, n_outputs)
     one_step_ahead: bool
     std_ddof: int
+    max_pole_radius: float  # of the evaluated model; >= 1 is unstable
 
     @property
     def errors(self) -> np.ndarray:
@@ -129,11 +136,16 @@ def evaluate(
         predicted=predicted,
         one_step_ahead=one_step_ahead,
         std_ddof=std_ddof,
+        max_pole_radius=max_pole_radius(model),
     )
 
 
 def format_validation_report(report: ValidationReport) -> str:
-    """Plain-text summary; reports both error std and RMS error."""
+    """Plain-text summary; reports both error std and RMS error.
+
+    A model with a pole on or outside the unit circle gets a last line
+    ``warning: identified model is unstable (max pole radius <r>)``.
+    """
     mode = "one-step-ahead" if report.one_step_ahead else "free-run"
     lines = [f"validation ({mode}, {report.outputs[0].n_test} samples)"]
     lines.append(
@@ -144,6 +156,9 @@ def format_validation_report(report: ValidationReport) -> str:
             f"{o.name:>10} {o.mean_error:>12.5g} {o.std_error:>12.5g} "
             f"{o.rms_error:>12.5g} {o.max_abs_error:>12.5g}"
         )
+    radius = report.max_pole_radius
+    if radius >= 1.0:
+        lines.append(f"warning: identified model is unstable (max pole radius {radius:.6g})")
     return "\n".join(lines) + "\n"
 
 

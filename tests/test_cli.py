@@ -3,11 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from hammid import gtaw_pool_model, load_dataset, load_model, load_series, save_dataset
+from hammid import (
+    Dataset,
+    HammersteinChannel,
+    LinearDynamics,
+    MimoHammersteinModel,
+    StaticNonlinearity,
+    gtaw_pool_model,
+    load_dataset,
+    load_model,
+    load_series,
+    save_dataset,
+    save_model,
+    simulate_mimo,
+)
 from hammid.cli import main
 
 from helpers import (
     BAD_SIGNAL_NAMES,
+    default_excitation,
     expected_preset_theta,
     preset_oracle_dataset,
     recursion_oracle,
@@ -25,6 +39,22 @@ def _write_oracle_dataset(path, n_samples=1070):
     data.operating_point = {"I_p": 0.0, "V_f": 0.0, "W_b": 0.0, "H_f": 0.0}
     save_dataset(path, data)
     return data
+
+
+def _unstable_model():
+    """Hand-built 2 x 2 model, first order with a pole at 1.002 on each output,
+    named like the oracle dataset."""
+    def channel(d):
+        return HammersteinChannel(StaticNonlinearity(()), LinearDynamics((-1.002,), (0.01,), d))
+
+    return MimoHammersteinModel(
+        channels=((channel(1), channel(1)), (channel(3), channel(3))),
+        input_names=("I_p", "V_f"),
+        output_names=("W_b", "H_f"),
+    )
+
+
+UNSTABLE_WARNING = "warning: identified model is unstable (max pole radius 1.002)"
 
 
 class TestExcite:
@@ -406,8 +436,6 @@ class TestIdentify:
         rng = np.random.default_rng(81)
         u = rng.integers(-4, 5, 800) * 0.5
         y = recursion_oracle([], [1.0, 0.4], 1, [-0.6, 0.08], u)
-        from hammid import Dataset
-
         data = Dataset(
             sample_period=1.0,
             inputs=u.reshape(-1, 1),
@@ -456,6 +484,32 @@ class TestIdentify:
                      "validation_trace_W_b.txt", "resolved_config.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_unstable_model_flagged(self, tmp_path):
+        # exact data of an unstable model, identified at its own orders
+        model = _unstable_model()
+        u = np.column_stack(default_excitation(1070))
+        dataset_path = tmp_path / "unstable.csv"
+        save_dataset(dataset_path, Dataset(
+            1.0, u, simulate_mimo(model, u), model.input_names, model.output_names,
+            operating_point={"I_p": 0.0, "V_f": 0.0, "W_b": 0.0, "H_f": 0.0},
+        ))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "preprocess": {"median_window": 1},
+            "fixed_orders": [
+                {"n": 1, "channels": [{"p": 1, "m": 0, "d": d}, {"p": 1, "m": 0, "d": d}]}
+                for d in (1, 3)
+            ],
+        }))
+        outdir = tmp_path / "out"
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(dataset_path), "--output-dir", str(outdir),
+        ]) == 0
+        lines = (outdir / "validation_report.txt").read_text().splitlines()
+        assert lines[-1] == UNSTABLE_WARNING
+        assert [line for line in lines if line.startswith("warning")] == [UNSTABLE_WARNING]
+
 
 class TestValidateCommand:
     def test_reports_written(self, tmp_path):
@@ -470,8 +524,24 @@ class TestValidateCommand:
         ]) == 0
         text = (outdir / "validation_report.txt").read_text()
         assert "free-run" in text
+        assert "warning" not in text
         trace = (outdir / "validation_trace_H_f.txt").read_text()
         assert trace.splitlines()[0].startswith("index actual predicted error")
+
+    @pytest.mark.parametrize("flags", [[], ["--one-step-ahead"]], ids=["free-run", "one-step"])
+    def test_unstable_model_flagged(self, tmp_path, flags):
+        model_path = tmp_path / "m.json"
+        save_model(model_path, _unstable_model())
+        dataset_path = tmp_path / "oracle.csv"
+        _write_oracle_dataset(dataset_path, n_samples=120)
+        outdir = tmp_path / "out"
+        assert main([
+            "validate", "--model", str(model_path), "--dataset", str(dataset_path),
+            "--output-dir", str(outdir), *flags,
+        ]) == 0
+        text = (outdir / "validation_report.txt").read_text()
+        assert text.endswith(f"\n{UNSTABLE_WARNING}\n")
+        assert text.count("warning") == 1
 
     def test_one_step_ahead_flag(self, tmp_path):
         model_path = tmp_path / "m.json"

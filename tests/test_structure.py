@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,7 +24,12 @@ from hammid import (
     simulate_channel,
 )
 from hammid.estimate import RegressionProblem
-from hammid.structure import _EXACT_FIT_FLOOR, AugmentationError, _nested_losses
+from hammid.structure import (
+    _EXACT_FIT_FLOOR,
+    AugmentationError,
+    _CompressedBank,
+    _nested_losses,
+)
 
 from helpers import default_excitation, preset_oracle_dataset, recursion_oracle
 
@@ -208,6 +215,102 @@ class TestNestedLosses:
         R = np.triu(np.ones((4, 4)))
         with pytest.raises(ValueError, match="not nested"):
             _nested_losses(R, 10, [[0, 1], [1, 2]])
+
+
+def _reference_spans(orders, col):
+    """Whether the regression at ``orders`` uses bank column ``col``, one
+    column at a time."""
+    if col.kind == "output_lag":
+        return col.lag <= orders.n
+    ch = orders.channels[col.input]
+    return col.power <= ch.p and ch.d <= col.lag <= ch.d + ch.m
+
+
+def _reference_regressor(data, orders, output, start):
+    """H and y built one column at a time and stacked by ``np.column_stack``."""
+    N = data.n_samples
+    y = data.outputs[:, output]
+    cols = [-y[start - i:N - i] for i in range(1, orders.n + 1)]
+    for j, ch in enumerate(orders.channels):
+        u = data.inputs[:, j]
+        for power in range(1, ch.p + 1):
+            up = u**power
+            cols += [up[start - lag:N - lag] for lag in range(ch.d, ch.d + ch.m + 1)]
+    return np.column_stack(cols), y[start:N].copy()
+
+
+@st.composite
+def _bank_and_orders(draw):
+    """Bank orders, a sequence of orders in and around the bank, and data to build it on."""
+    n_inputs = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    channels = [ChannelOrders(p=draw(st.integers(1, 3)), m=draw(st.integers(0, 4)),
+                              d=draw(st.integers(0, 4))) for _ in range(n_inputs)]
+    bank = StructureOrders(n=n, channels=channels)
+    sub = st.builds(
+        StructureOrders,
+        n=st.integers(0, n + 1),
+        channels=st.tuples(*(
+            st.builds(ChannelOrders, p=st.integers(1, ch.p + 1),
+                      m=st.integers(0, ch.m + 1), d=st.integers(0, ch.d + ch.m + 1))
+            for ch in channels
+        )),
+    )
+    sweep = draw(st.lists(sub, min_size=1, max_size=5))
+    rows = bank.max_lag + bank.n_parameters + draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=rows),
+                   tuple(f"u{j}" for j in range(n_inputs)), ("y",))
+    return data, bank, sweep
+
+
+# the delay-scan bank at max_lag 10 (start 18) and the search banks at
+# SearchBounds(6, 6, 4) and the preset's delays (starts 7 and 9)
+_SCAN_BANK = (StructureOrders(8, [ChannelOrders(4, 18, 0)] * 2), 18)
+_SEARCH_BANKS = [
+    (StructureOrders(6, [ChannelOrders(4, 6, 1)] * 2), 7),
+    (StructureOrders(6, [ChannelOrders(4, 6, 3)] * 2), 9),
+]
+
+
+class TestCompressedBank:
+    @given(_bank_and_orders())
+    def test_columns_follow_the_per_column_rule(self, case):
+        data, orders, sweep = case
+        bank = _CompressedBank(data, orders, 0, orders.max_lag)
+        column_map = build_regressor(data, orders, 0).column_map
+        for sub in sweep:
+            want = [i for i, c in enumerate(column_map) if _reference_spans(sub, c)]
+            assert bank.columns(sub) == want
+
+    @pytest.mark.parametrize("n_samples, noise_std", [(1070, 0.01), (20_000, 0.0)])
+    def test_layout_is_bitwise_the_column_stack_one(self, n_samples, noise_std):
+        data = preset_oracle_dataset(n_samples=n_samples, noise_std=noise_std)
+        for s, (orders, start) in [(0, _SCAN_BANK), (1, _SCAN_BANK), *enumerate(_SEARCH_BANKS)]:
+            prob = build_regressor(data, orders, s, start=start)
+            H_ref, y_ref = _reference_regressor(data, orders, s, start)
+            assert prob.H.tobytes() == H_ref.tobytes()
+            assert prob.y.tobytes() == y_ref.tobytes()
+            assert prob.H.flags.f_contiguous
+            assert prob.H.base is prob.y.base
+            R = _CompressedBank(data, orders, s, start).R
+            R_ref = np.linalg.qr(np.column_stack([H_ref, y_ref]), mode="r")
+            assert R.tobytes() == R_ref.tobytes()
+
+    def test_at_most_two_copies_of_the_bank_held(self):
+        data = preset_oracle_dataset(n_samples=20_000)
+        orders, start = _SCAN_BANK
+        bank_bytes = (data.n_samples - start) * (orders.n_parameters + 1) * 8
+        tracemalloc.start()
+        try:
+            _CompressedBank(data, orders, 0, start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # tracemalloc counts numpy arrays, the bank and the QR's copy, but not
+        # the LAPACK work buffer that numpy's qr allocates with malloc; a peak
+        # below one bank would mean it missed the arrays too
+        assert bank_bytes <= peak <= 2.1 * bank_bytes
 
 
 class TestDelayEstimation:
