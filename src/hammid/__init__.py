@@ -48,7 +48,7 @@ from .persistence import (
     save_series,
 )
 from .pipeline import Identification, StageError, identify, load_config
-from .preprocess import PreprocessConfig, median_filter, prepare_dataset, remove_dc
+from .preprocess import median_filter, prepare_dataset, remove_dc
 from .structure import (
     AugmentationError,
     DelayEstimate,

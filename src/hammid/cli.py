@@ -66,14 +66,16 @@ def cmd_simulate(
             f"model expects {model.n_inputs} input files, got {len(input_paths)}"
         )
     series, names = zip(*(persistence.load_series(p) for p in input_paths))
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
-        raise ValueError(f"input series lengths differ: {sorted(lengths)}")
+    for k, (name, want) in enumerate(zip(names, model.input_names), start=1):
+        if name != want:
+            raise ValueError(
+                f"input file {k} carries signal {name!r}, model input {k} is {want!r}"
+            )
     # inputs arrive at physical scale; the model works on deviations
     deviations = [
         s - model.operating_point.get(name, 0.0) for s, name in zip(series, names)
     ]
-    outputs = simulate_mimo(model, np.column_stack(deviations))
+    outputs = simulate_mimo(model, deviations)
     persistence.save_trace(outdir / "simulated_outputs.txt", model.output_names, outputs)
     if dataset_out is not None:
         units = {s["name"]: s.get("unit", "") for s in cfg["inputs"] + cfg["outputs"]}
@@ -122,9 +124,7 @@ def cmd_validate(
     data = persistence.load_dataset(dataset_path)
     # deviation scale, without median filtering: operating points where
     # declared, means otherwise
-    deviations, _ = preprocess.prepare_dataset(
-        data, preprocess.PreprocessConfig(median_window=1)
-    )
+    deviations, _ = preprocess.prepare_dataset(data, median_window=1)
     report = validate.evaluate(model, deviations, std_ddof=vcfg["std_ddof"],
                                one_step_ahead=one_step_ahead or vcfg["one_step_ahead"])
     _write_validation(report, data.output_names, outdir)

@@ -140,11 +140,7 @@ def identify(data: Dataset, cfg: dict) -> Identification:
             raise ValueError(f"unknown estimator method {method!r}")
 
     with stage("preprocess"):
-        pp = preprocess.PreprocessConfig(
-            median_window=cfg["preprocess"]["median_window"],
-            filter_inputs=cfg["preprocess"]["filter_inputs"],
-        )
-        deviations, offsets = preprocess.prepare_dataset(data, pp)
+        deviations, offsets = preprocess.prepare_dataset(data, **cfg["preprocess"])
 
     with stage("split"):
         n_train = cfg["n_train"]
@@ -158,9 +154,7 @@ def identify(data: Dataset, cfg: dict) -> Identification:
             )
             searches = []
             for s in range(train.n_outputs):
-                scan = structure.estimate_delays(
-                    train.inputs, train.outputs[:, s], cfg["delay"]["max_lag"]
-                )
+                scan = structure.estimate_delays(train, s, cfg["delay"]["max_lag"])
                 searches.append(structure.select_structure(
                     train, s, [est.delay for est in scan], bounds,
                     plateau_threshold=scfg["plateau_threshold"],

@@ -7,26 +7,10 @@ series mean or as a declared reference level (the operating point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import median_filter as _nd_median
 
 from .model import Dataset
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """median_window must be odd; inputs are filtered only when asked."""
-
-    median_window: int = 5
-    filter_inputs: bool = False
-
-    def __post_init__(self):
-        if self.median_window < 1 or self.median_window % 2 == 0:
-            raise ValueError(
-                f"median_window must be odd and >= 1, got {self.median_window}"
-            )
 
 
 def median_filter(x, window: int) -> np.ndarray:
@@ -55,13 +39,16 @@ def remove_dc(x, reference: float | None = None) -> tuple[np.ndarray, float]:
     return x - offset, offset
 
 
-def prepare_dataset(data: Dataset, config: PreprocessConfig = PreprocessConfig()) -> tuple[Dataset, dict]:
+def prepare_dataset(
+    data: Dataset, median_window: int, filter_inputs: bool = False
+) -> tuple[Dataset, dict]:
     """Filter and de-trend a dataset for identification.
 
-    Outputs are median filtered (inputs too if configured), then every
-    signal is shifted to deviation scale: signals with a declared operating
-    point lose that reference, the rest lose their mean.  Returns the
-    deviation-scale dataset and the offsets that were removed.
+    Outputs are median filtered over ``median_window`` samples (1: none),
+    inputs too if ``filter_inputs``; then every signal is shifted to
+    deviation scale: signals with a declared operating point lose that
+    reference, the rest lose their mean.  Returns the deviation-scale
+    dataset and the offsets that were removed.
     """
     offsets: dict[str, float] = {}
 
@@ -73,10 +60,10 @@ def prepare_dataset(data: Dataset, config: PreprocessConfig = PreprocessConfig()
     inputs = data.inputs.copy()
     outputs = data.outputs.copy()
     for j in range(data.n_outputs):
-        outputs[:, j] = median_filter(outputs[:, j], config.median_window)
-    if config.filter_inputs:
+        outputs[:, j] = median_filter(outputs[:, j], median_window)
+    if filter_inputs:
         for j in range(data.n_inputs):
-            inputs[:, j] = median_filter(inputs[:, j], config.median_window)
+            inputs[:, j] = median_filter(inputs[:, j], median_window)
     for j, name in enumerate(data.input_names):
         inputs[:, j] = strip(inputs[:, j], name)
     for j, name in enumerate(data.output_names):

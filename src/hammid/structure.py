@@ -154,6 +154,11 @@ class _CompressedBank:
     ||r_y - R_S theta|| (r_y the last column of R), so every candidate
     regression inside the bank is solved on R alone.
 
+    A series of N samples is too short for K regressors from row S unless
+    N - S > K: the one length rule of the delay scan and the search.
+    ``power``, the mean square of y over the bank's rows, scales both
+    stages' loss floors.
+
     The QR reads the Fortran-ordered [H y] array that
     :func:`~hammid.estimate.build_regressor` wrote, so at most two copies of
     the bank are held at once: that array and the QR's own (plus numpy's
@@ -163,8 +168,14 @@ class _CompressedBank:
     """
 
     def __init__(self, data: Dataset, orders: StructureOrders, output: int, start: int):
+        if data.n_samples - start <= orders.n_parameters:
+            raise ValueError(
+                f"series of length {data.n_samples} too short for "
+                f"{orders.n_parameters} regressors from row {start}"
+            )
         prob = build_regressor(data, orders, output, start=start)
         self.n_rows = prob.n_rows
+        self.power = float(np.mean(prob.y ** 2))
         cmap = prob.column_map
         self._output_lag = np.array([c.kind == "output_lag" for c in cmap])
         self._lag = np.array([c.lag for c in cmap])
@@ -228,47 +239,30 @@ def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float
     return peak
 
 
-def estimate_delays(inputs, y, max_lag: int) -> list[DelayEstimate]:
-    """Estimate the input-output delay of every input against one output.
+def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstimate]:
+    """Estimate the delay of every input of ``data`` against output ``output``.
 
     For each input, lagged-power blocks of all inputs plus lagged outputs
-    are regressed on y while the scanned input's block starts at candidate
-    lag d = 0, 1, ...; the loss stays at its minimum for every d up to the
-    true delay (those leading taps are genuinely zero) and jumps beyond it.
-    The estimate is the largest candidate before the jump.
+    are regressed on the output while the scanned input's block starts at
+    candidate lag d = 0, 1, ...; the loss stays at its minimum for every d
+    up to the true delay (those leading taps are genuinely zero) and jumps
+    beyond it.  The estimate is the largest candidate before the jump.
+    ``max_lag`` must lie in [0, N/4), and no series may be constant.
     """
-    U = np.asarray(inputs, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    y = np.asarray(y, dtype=float)
-    if len(y) != U.shape[0]:
-        raise ValueError(f"series lengths differ: {U.shape[0]} vs {len(y)}")
-    data = Dataset(
-        sample_period=1.0,
-        inputs=U,
-        outputs=y,
-        input_names=tuple(f"input {j}" for j in range(U.shape[1])),
-        output_names=("output",),
-    )
-    if max_lag < 0 or max_lag >= len(y) // 4:
+    if max_lag < 0 or max_lag >= data.n_samples // 4:
         raise ValueError(f"max_lag must lie in [0, N/4), got {max_lag}")
+    span = max_lag + _DELAY_PAD
+    full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * data.n_inputs)
+    bank = _CompressedBank(data, full, output, max(_DELAY_N_FIT, span))
+    y = data.outputs[:, output]
     if np.ptp(y) == 0:
         raise ValueError("constant output series")
-    span = max_lag + _DELAY_PAD
-    start = max(_DELAY_N_FIT, span)
-    full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * U.shape[1])
-    if len(y) - start <= full.n_parameters:
-        raise ValueError(
-            f"series of length {len(y)} too short for the delay scan "
-            f"({full.n_parameters} regressors from row {start})"
-        )
-    for j in range(U.shape[1]):
-        if np.ptp(U[:, j]) == 0:
+    for j in range(data.n_inputs):
+        if np.ptp(data.inputs[:, j]) == 0:
             raise ValueError(f"constant input series {j}")
-    floor = _EXACT_FIT_FLOOR * float(np.mean(y[start:] ** 2))
-    bank = _CompressedBank(data, full, 0, start)
+    floor = _EXACT_FIT_FLOOR * bank.power
     results = []
-    for j in range(U.shape[1]):
+    for j in range(data.n_inputs):
         # from d = max_lag down, each candidate adds input j's lag-d columns
         sweep = []
         for d in range(max_lag, -1, -1):
@@ -283,21 +277,22 @@ def estimate_delays(inputs, y, max_lag: int) -> list[DelayEstimate]:
                 delay = d
             else:
                 break
-        peak = _cross_correlation_peak(U[:, j], y, max_lag)
+        peak = _cross_correlation_peak(data.inputs[:, j], y, max_lag)
         results.append(
             DelayEstimate(
                 delay=delay,
                 losses=losses,
                 peak_correlation=peak,
-                significance_bound=2.0 / np.sqrt(len(y)),
+                significance_bound=2.0 / np.sqrt(data.n_samples),
             )
         )
     return results
 
 
 def estimate_delay(u, y, max_lag: int) -> DelayEstimate:
-    """Single-input version of :func:`estimate_delays`."""
-    return estimate_delays(np.asarray(u, dtype=float).reshape(-1, 1), y, max_lag)[0]
+    """Delay of series ``u`` against ``y``, as a one-input one-output
+    :class:`~hammid.model.Dataset` (which rejects unequal lengths and NaN/inf)."""
+    return estimate_delays(Dataset(1.0, u, y, ("u",), ("y",)), 0, max_lag)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +355,8 @@ def select_structure(
         raise ValueError(f"need one delay per input, got {len(delays)}")
     start = max(bounds.n_max, max(delays) + bounds.m_max)
     full = _uniform_orders(bounds.n_max, bounds.m_max, bounds.p_max, delays)
-    if data.n_samples - start <= full.n_parameters:
-        raise ValueError(
-            f"dataset of length {data.n_samples} too short for bounds needing "
-            f"{full.n_parameters} regressors from row {start}"
-        )
-    floor = convergence_floor * float(np.mean(data.outputs[start:, output] ** 2))
     bank = _CompressedBank(data, full, output, start)
+    floor = convergence_floor * bank.power
     candidates: list[Candidate] = []
 
     def swept(stage, values, orders_at):

@@ -102,7 +102,9 @@ def evaluate(
 ) -> ValidationReport:
     """Compare model output against measured output on a test dataset.
 
-    Data must be at deviation scale.  ``std_ddof`` selects the standard
+    Data must be at deviation scale, with the model's input and output
+    names in the model's order; columns are matched by position, so a
+    dataset in another order is rejected.  ``std_ddof`` selects the standard
     deviation convention (0 = population, 1 = sample); any other value is
     rejected.
     """
@@ -113,6 +115,10 @@ def evaluate(
             f"model is {model.n_inputs}x{model.n_outputs}, "
             f"dataset is {test.n_inputs}x{test.n_outputs}"
         )
+    for kind, got, want in (("inputs", test.input_names, model.input_names),
+                            ("outputs", test.output_names, model.output_names)):
+        if got != want:
+            raise ValueError(f"dataset {kind} {list(got)} differ from the model's {list(want)}")
     if one_step_ahead:
         predicted = _one_step_prediction(model, test)
     else:

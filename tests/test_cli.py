@@ -244,27 +244,33 @@ class TestSimulate:
         assert f"{model_path}: non-finite number: NaN" in capsys.readouterr().err
         assert not (outdir / "simulated_outputs.txt").exists()
 
-    @pytest.mark.parametrize("lengths, message", [
-        pytest.param((5,), "model expects 2 input files, got 1", id="one-file"),
-        pytest.param((5, 5, 5), "model expects 2 input files, got 3", id="three-files"),
-        pytest.param((5, 4), "input series lengths differ: [4, 5]", id="lengths"),
+    @pytest.mark.parametrize("files, message", [
+        pytest.param([(5, "I_p")], "model expects 2 input files, got 1", id="one-file"),
+        pytest.param([(5, "I_p"), (5, "V_f"), (5, "x")], "model expects 2 input files, got 3",
+                     id="three-files"),
+        pytest.param([(5, "I_p"), (4, "V_f")], "input series lengths differ: [4, 5]",
+                     id="lengths"),
+        # files are matched to model inputs by position, so each must carry that input
+        pytest.param([(5, "V_f"), (5, "I_p")],
+                     "input file 1 carries signal 'V_f', model input 1 is 'I_p'", id="swapped"),
     ])
-    def test_mismatched_input_files_fail(self, tmp_path, capsys, lengths, message):
+    def test_mismatched_input_files_fail(self, tmp_path, capsys, files, message):
         from hammid import save_series
 
         model_path = tmp_path / "m.json"
         main(["preset", "--output", str(model_path)])
         inputs = []
-        for k, n in enumerate(lengths):
+        for k, (n, name) in enumerate(files):
             inputs.append(str(tmp_path / f"u{k}.txt"))
-            save_series(inputs[-1], np.full(n, 150.0), name=("I_p", "V_f", "x")[k])
+            save_series(inputs[-1], np.full(n, 150.0), name=name)
         outdir = tmp_path / "out"
         assert main([
             "simulate", "--model", str(model_path), "--inputs", *inputs,
-            "--output-dir", str(outdir),
+            "--output-dir", str(outdir), "--dataset-out", str(outdir / "dataset.csv"),
         ]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (outdir / "simulated_outputs.txt").exists()
+        assert not (outdir / "dataset.csv").exists()
 
     def test_dataset_out_is_identifiable(self, tmp_path):
         model_path = tmp_path / "m.json"
@@ -569,6 +575,25 @@ class TestValidateCommand:
         ]) == 0
         header = (outdir / "validation_report.txt").read_text().splitlines()[0]
         assert "one-step-ahead" in header
+
+    def test_dataset_in_another_input_order_fails(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        data = preset_oracle_dataset(n_samples=120)
+        dataset_path = tmp_path / "reordered.csv"
+        save_dataset(dataset_path, Dataset(
+            sample_period=1.0, inputs=data.inputs[:, ::-1], outputs=data.outputs,
+            input_names=("V_f", "I_p"), output_names=data.output_names,
+        ))
+        outdir = tmp_path / "out"
+        assert main([
+            "validate", "--model", str(model_path), "--dataset", str(dataset_path),
+            "--output-dir", str(outdir),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset inputs ['V_f', 'I_p'] differ from the model's ['I_p', 'V_f']\n"
+        )
+        assert not (outdir / "validation_report.txt").exists()
 
     def test_std_ddof_out_of_range_fails(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"

@@ -3,7 +3,6 @@ import pytest
 
 from hammid import Dataset
 from hammid.preprocess import (
-    PreprocessConfig,
     median_filter,
     prepare_dataset,
     remove_dc,
@@ -95,7 +94,7 @@ class TestPrepareDataset:
 
     def test_operating_point_preferred_over_mean(self):
         data = self._dataset()
-        deviations, offsets = prepare_dataset(data, PreprocessConfig(median_window=1))
+        deviations, offsets = prepare_dataset(data, median_window=1)
         assert offsets["I_p"] == 150.0
         np.testing.assert_array_equal(deviations.inputs[:, 0], data.inputs[:, 0] - 150.0)
         # no declared output operating point: mean removed
@@ -105,7 +104,7 @@ class TestPrepareDataset:
     def test_outputs_filtered_inputs_untouched_by_default(self):
         data = self._dataset()
         data.outputs[10, 0] = 50.0  # spike
-        deviations, offsets = prepare_dataset(data, PreprocessConfig(median_window=3))
+        deviations, offsets = prepare_dataset(data, median_window=3)
         restored = deviations.outputs[:, 0] + offsets["W_b"]
         assert abs(restored[10]) < 10.0  # spike filtered out
         np.testing.assert_array_equal(
@@ -115,11 +114,9 @@ class TestPrepareDataset:
     def test_filter_inputs_flag(self):
         data = self._dataset()
         data.inputs[5, 0] = 1000.0
-        deviations, offsets = prepare_dataset(
-            data, PreprocessConfig(median_window=3, filter_inputs=True)
-        )
+        deviations, offsets = prepare_dataset(data, median_window=3, filter_inputs=True)
         assert deviations.inputs[5, 0] + offsets["I_p"] < 500.0
 
     def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            PreprocessConfig(median_window=4)
+        with pytest.raises(ValueError, match="^window must be odd and >= 1, got 4$"):
+            prepare_dataset(self._dataset(), median_window=4)

@@ -312,6 +312,22 @@ class TestCompressedBank:
         # below one bank would mean it missed the arrays too
         assert bank_bytes <= peak <= 2.1 * bank_bytes
 
+    def test_needs_more_rows_than_regressors(self):
+        # 6 output lags and 2 inputs x 4 powers x 7 lags: 62 regressors from row 7
+        orders, start = _SEARCH_BANKS[0]
+        data = preset_oracle_dataset(n_samples=start + orders.n_parameters + 1)
+        assert _CompressedBank(data, orders, 0, start).n_rows == orders.n_parameters + 1
+        short = preset_oracle_dataset(n_samples=start + orders.n_parameters)
+        with pytest.raises(ValueError, match="^series of length 69 too short for 62 regressors "
+                                             "from row 7$"):
+            _CompressedBank(short, orders, 0, start)
+
+    def test_power_is_the_mean_square_of_y(self):
+        data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
+        orders, start = _SCAN_BANK
+        bank = _CompressedBank(data, orders, 1, start)
+        assert bank.power == float(np.mean(data.outputs[start:, 1] ** 2))
+
 
 class TestDelayEstimation:
     @pytest.mark.parametrize("noise_std", [0.0, 0.01])
@@ -319,7 +335,7 @@ class TestDelayEstimation:
         data = preset_oracle_dataset(n_samples=1070, noise_std=noise_std)
         for s in range(data.n_outputs):
             y = data.outputs[:, s]
-            ests = estimate_delays(data.inputs, y, max_lag=10)
+            ests = estimate_delays(data, s, max_lag=10)
             delays, profiles = _reference_delay_scan(data.inputs, y, max_lag=10)
             assert [e.delay for e in ests] == delays
             power = float(np.mean(y[18:] ** 2))
@@ -335,23 +351,23 @@ class TestDelayEstimation:
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
         data = preset_oracle_dataset(n_samples=1070, noise_std=noise_std)
         for s, delays in [(0, [1, 1]), (1, [3, 3])]:
-            ests = estimate_delays(data.inputs, data.outputs[:, s], max_lag=10)
+            ests = estimate_delays(data, s, max_lag=10)
             assert [e.delay for e in ests] == delays
             select_structure(data, s, delays, SearchBounds(6, 6, 4))
         assert calls == []
 
     def test_non_finite_rejected(self):
         rng = np.random.default_rng(41)
-        u = rng.normal(size=(800, 2))
-        y = u[:, 0] + 0.5 * u[:, 1]
+        u = rng.normal(size=800)
+        y = u + 0.5 * u**2
         bad_y = y.copy()
         bad_y[500] = np.nan
-        with pytest.raises(ValueError, match="non-finite value nan at sample 500"):
-            estimate_delays(u, bad_y, max_lag=5)
+        with pytest.raises(ValueError, match="'y' has non-finite value nan at sample 500"):
+            estimate_delay(u, bad_y, max_lag=5)
         bad_u = u.copy()
-        bad_u[7, 1] = np.inf
-        with pytest.raises(ValueError, match="'input 1' has non-finite value inf"):
-            estimate_delays(bad_u, y, max_lag=5)
+        bad_u[7] = np.inf
+        with pytest.raises(ValueError, match="'u' has non-finite value inf at sample 7"):
+            estimate_delay(bad_u, y, max_lag=5)
 
     def test_pure_delay(self):
         rng = np.random.default_rng(26)
@@ -376,7 +392,7 @@ class TestDelayEstimation:
     def test_mimo_delays_on_preset_outputs(self):
         data = preset_oracle_dataset(n_samples=1070)
         for s, want in [(0, [1, 1]), (1, [3, 3])]:
-            ests = estimate_delays(data.inputs, data.outputs[:, s], max_lag=10)
+            ests = estimate_delays(data, s, max_lag=10)
             assert [e.delay for e in ests] == want
 
     def test_unrelated_series_low_confidence(self):
@@ -408,6 +424,17 @@ class TestDelayEstimation:
     def test_max_lag_bound(self):
         with pytest.raises(ValueError, match="max_lag"):
             estimate_delay(np.arange(100.0), np.arange(100.0), max_lag=30)
+
+    def test_scan_and_search_share_one_too_short_rule(self):
+        data = preset_oracle_dataset(n_samples=60)
+        # scan at max_lag 10: 8 output lags and 2 inputs x 4 powers x 19 lags
+        with pytest.raises(ValueError, match="^series of length 60 too short for 160 regressors "
+                                             "from row 18$"):
+            estimate_delays(data, 0, max_lag=10)
+        # search at SearchBounds(6, 6, 4) and delays 1, 1
+        with pytest.raises(ValueError, match="^series of length 60 too short for 62 regressors "
+                                             "from row 7$"):
+            select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4))
 
 
 class TestSelectStructure:

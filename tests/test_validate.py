@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,17 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError, match="2x2"):
             evaluate(gtaw_pool_model(), narrower)
+
+    @pytest.mark.parametrize("kind", ["input", "output"])
+    def test_signals_in_another_order_rejected(self, kind):
+        # the right columns under their own names, but not in the model's order
+        data = preset_oracle_dataset(n_samples=50)
+        names = getattr(data, f"{kind}_names")
+        reordered = replace(data, **{f"{kind}s": getattr(data, f"{kind}s")[:, ::-1],
+                                     f"{kind}_names": names[::-1]})
+        message = f"dataset {kind}s {list(names[::-1])} differ from the model's {list(names)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(gtaw_pool_model(), reordered)
 
 
 def test_reported_reference_constants_documented():
