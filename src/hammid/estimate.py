@@ -126,24 +126,19 @@ class RegressionProblem:
         return self.H.shape[1]
 
 
-def build_regressor(
-    data: Dataset,
-    orders: StructureOrders,
-    output: int,
-    start: int | None = None,
-) -> RegressionProblem:
+def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
     """Assemble the regression for one output of a deviation-scale dataset.
 
     Column order: lagged outputs -y(k-1)..-y(k-n), then for each input j and
     each power i = 1..p_sj the lagged powered inputs u_j^i(k-d)..u_j^i(k-d-m).
-    Rows run from ``start`` (default: the largest lag any column needs) to
-    the end of the data; powers are taken of the stored deviation values.
+    Rows run from the orders' largest lag, ``orders.max_lag``, to the end of
+    the data; powers are taken of the stored deviation values.
 
     Every column is written straight into one Fortran-ordered array [H y]
     with y last, and ``H`` and ``y`` are views of it (``H.base``).  LAPACK
-    reads Fortran order, so a QR of [H y] takes that array as it is: at most
-    two copies of the regression are held at once, the array and the QR's
-    own (numpy's ``qr`` also fills a LAPACK work buffer of the same size).
+    reads Fortran order, so a QR of [H y] takes that array as it is.  While
+    numpy's ``qr`` runs, three regression-sized buffers are alive: this
+    array, numpy's own copy of it and LAPACK's work buffer.
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -151,9 +146,7 @@ def build_regressor(
         )
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
-    k0 = orders.max_lag if start is None else start
-    if k0 < orders.max_lag:
-        raise ValueError(f"start {k0} is below the largest needed lag {orders.max_lag}")
+    k0 = orders.max_lag
     N = data.n_samples
     if N <= k0:
         raise ValueError(

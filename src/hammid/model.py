@@ -238,8 +238,8 @@ class Dataset:
             self.outputs = self.outputs.reshape(-1, 1)
         self.input_names = tuple(self.input_names)
         self.output_names = tuple(self.output_names)
-        if self.sample_period <= 0:
-            raise ValueError(f"sample_period must be > 0, got {self.sample_period}")
+        if not (np.isfinite(self.sample_period) and self.sample_period > 0):
+            raise ValueError(f"sample_period must be finite and > 0, got {self.sample_period}")
         if self.inputs.shape[1] != len(self.input_names):
             raise ValueError("input_names does not match the input columns")
         if self.outputs.shape[1] != len(self.output_names):

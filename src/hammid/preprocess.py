@@ -7,6 +7,8 @@ series mean or as a declared reference level (the operating point).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.ndimage import median_filter as _nd_median
 
@@ -44,38 +46,24 @@ def prepare_dataset(
 ) -> tuple[Dataset, dict]:
     """Filter and de-trend a dataset for identification.
 
-    Outputs are median filtered over ``median_window`` samples (1: none),
-    inputs too if ``filter_inputs``; then every signal is shifted to
-    deviation scale: signals with a declared operating point lose that
-    reference, the rest lose their mean.  Returns the deviation-scale
-    dataset and the offsets that were removed.
+    Every signal is median filtered, then shifted to deviation scale.  The
+    window is ``median_window`` for outputs, and for inputs too if
+    ``filter_inputs`` (else 1: none).  Signals with a declared operating
+    point lose that reference, the rest lose their mean.  Returns the
+    deviation-scale dataset and the offsets that were removed, inputs
+    first.
     """
     offsets: dict[str, float] = {}
 
-    def strip(series, name):
-        out, offset = remove_dc(series, data.operating_point.get(name))
-        offsets[name] = offset
+    def condition(series, names, window):
+        out = np.empty_like(series)
+        for j, name in enumerate(names):
+            out[:, j], offsets[name] = remove_dc(
+                median_filter(series[:, j], window), data.operating_point.get(name)
+            )
         return out
 
-    inputs = data.inputs.copy()
-    outputs = data.outputs.copy()
-    for j in range(data.n_outputs):
-        outputs[:, j] = median_filter(outputs[:, j], median_window)
-    if filter_inputs:
-        for j in range(data.n_inputs):
-            inputs[:, j] = median_filter(inputs[:, j], median_window)
-    for j, name in enumerate(data.input_names):
-        inputs[:, j] = strip(inputs[:, j], name)
-    for j, name in enumerate(data.output_names):
-        outputs[:, j] = strip(outputs[:, j], name)
-
-    deviations = Dataset(
-        sample_period=data.sample_period,
-        inputs=inputs,
-        outputs=outputs,
-        input_names=data.input_names,
-        output_names=data.output_names,
-        units=dict(data.units),
-        operating_point={},
-    )
-    return deviations, offsets
+    inputs = condition(data.inputs, data.input_names, median_window if filter_inputs else 1)
+    outputs = condition(data.outputs, data.output_names, median_window)
+    return replace(data, inputs=inputs, outputs=outputs, units=dict(data.units),
+                   operating_point={}), offsets

@@ -148,9 +148,10 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
 
 
 class _CompressedBank:
-    """R factor of [H y] for one output's column bank, over one row window.
+    """R factor of [H y] for one output's column bank at ``orders``.
 
-    For any subset S of the bank's columns, ||y - H_S theta|| equals
+    Rows run from S = ``orders.max_lag``, a lag no candidate inside the bank
+    exceeds.  For any subset of the bank's columns, ||y - H_S theta|| equals
     ||r_y - R_S theta|| (r_y the last column of R), so every candidate
     regression inside the bank is solved on R alone.
 
@@ -160,20 +161,21 @@ class _CompressedBank:
     stages' loss floors.
 
     The QR reads the Fortran-ordered [H y] array that
-    :func:`~hammid.estimate.build_regressor` wrote, so at most two copies of
-    the bank are held at once: that array and the QR's own (plus numpy's
-    LAPACK work buffer inside the QR call).  The bank keeps each column's
-    kind, lag, input and power as vectors, and :meth:`columns` compares
-    them with a candidate's orders.
+    :func:`~hammid.estimate.build_regressor` wrote.  While it runs, three
+    bank-sized buffers are alive: that array, numpy's copy of it and
+    LAPACK's work buffer.  The bank keeps each column's kind, lag, input and
+    power as vectors, and :meth:`columns` compares them with a candidate's
+    orders.
     """
 
-    def __init__(self, data: Dataset, orders: StructureOrders, output: int, start: int):
+    def __init__(self, data: Dataset, orders: StructureOrders, output: int):
+        start = orders.max_lag
         if data.n_samples - start <= orders.n_parameters:
             raise ValueError(
                 f"series of length {data.n_samples} too short for "
                 f"{orders.n_parameters} regressors from row {start}"
             )
-        prob = build_regressor(data, orders, output, start=start)
+        prob = build_regressor(data, orders, output)
         self.n_rows = prob.n_rows
         self.power = float(np.mean(prob.y ** 2))
         cmap = prob.column_map
@@ -251,15 +253,17 @@ def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstim
     """
     if max_lag < 0 or max_lag >= data.n_samples // 4:
         raise ValueError(f"max_lag must lie in [0, N/4), got {max_lag}")
-    span = max_lag + _DELAY_PAD
-    full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * data.n_inputs)
-    bank = _CompressedBank(data, full, output, max(_DELAY_N_FIT, span))
+    if not 0 <= output < data.n_outputs:
+        raise ValueError(f"output index {output} out of range")
     y = data.outputs[:, output]
     if np.ptp(y) == 0:
-        raise ValueError("constant output series")
-    for j in range(data.n_inputs):
+        raise ValueError(f"constant output series {data.output_names[output]!r}")
+    for j, name in enumerate(data.input_names):
         if np.ptp(data.inputs[:, j]) == 0:
-            raise ValueError(f"constant input series {j}")
+            raise ValueError(f"constant input series {name!r}")
+    span = max_lag + _DELAY_PAD
+    full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * data.n_inputs)
+    bank = _CompressedBank(data, full, output)
     floor = _EXACT_FIT_FLOOR * bank.power
     results = []
     for j in range(data.n_inputs):
@@ -353,9 +357,8 @@ def select_structure(
     delays = [int(d) for d in delays]
     if len(delays) != data.n_inputs:
         raise ValueError(f"need one delay per input, got {len(delays)}")
-    start = max(bounds.n_max, max(delays) + bounds.m_max)
     full = _uniform_orders(bounds.n_max, bounds.m_max, bounds.p_max, delays)
-    bank = _CompressedBank(data, full, output, start)
+    bank = _CompressedBank(data, full, output)
     floor = convergence_floor * bank.power
     candidates: list[Candidate] = []
 

@@ -9,7 +9,7 @@ equation, is available as an option.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -40,15 +40,8 @@ def split_dataset(data: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
         )
 
     def piece(sl):
-        return Dataset(
-            sample_period=data.sample_period,
-            inputs=data.inputs[sl].copy(),
-            outputs=data.outputs[sl].copy(),
-            input_names=data.input_names,
-            output_names=data.output_names,
-            units=dict(data.units),
-            operating_point=dict(data.operating_point),
-        )
+        return replace(data, inputs=data.inputs[sl].copy(), outputs=data.outputs[sl].copy(),
+                       units=dict(data.units), operating_point=dict(data.operating_point))
 
     return piece(slice(0, n_train)), piece(slice(n_train, data.n_samples))
 

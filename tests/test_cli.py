@@ -334,6 +334,16 @@ class TestIdentify:
         assert err.startswith("error: structure:")
         assert "max_lag" in err or "too short" in err
 
+    def test_constant_input_named(self, tmp_path, capsys):
+        dataset_path = tmp_path / "oracle.csv"
+        data = preset_oracle_dataset(n_samples=1070)
+        data.inputs[:, 1] = 7.0
+        save_dataset(dataset_path, data)
+        assert main([
+            "identify", "--dataset", str(dataset_path), "--output-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == "error: structure: constant input series 'V_f'\n"
+
     @pytest.mark.parametrize("stage, cfg, dataset", [
         ("load", {}, "missing.csv"),
         ("preprocess", {"preprocess": {"median_window": 4}}, "oracle.csv"),

@@ -244,6 +244,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="series 'u2'"):
             Dataset(1.0, inputs, np.zeros((10, 1)), ("u1", "u2"), ("y",))
 
+    @pytest.mark.parametrize("period, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                               (-np.inf, "-inf"), (0.0, "0.0")])
+    def test_sample_period_must_be_finite_and_positive(self, period, shown):
+        # a NaN or inf period would be saved to a file that load_dataset rejects
+        with pytest.raises(ValueError, match=f"^sample_period must be finite and > 0, "
+                                             f"got {re.escape(shown)}$"):
+            Dataset(period, np.ones((10, 1)), np.zeros((10, 1)), ("u",), ("y",))
+
     def test_repeated_signal_name_rejected(self):
         with pytest.raises(ValueError, match="^signal name 'y' is repeated$"):
             Dataset(1.0, np.ones((10, 1)), np.zeros((10, 2)), ("u",), ("y", "y"))

@@ -117,6 +117,25 @@ class TestPrepareDataset:
         deviations, offsets = prepare_dataset(data, median_window=3, filter_inputs=True)
         assert deviations.inputs[5, 0] + offsets["I_p"] < 500.0
 
+    def test_other_fields_carried_over(self):
+        data = self._dataset()
+        data.sample_period = 0.5
+        data.units = {"I_p": "A", "W_b": "mm"}
+        deviations, _ = prepare_dataset(data, median_window=3)
+        assert deviations.sample_period == 0.5
+        assert deviations.input_names == ("I_p",)
+        assert deviations.output_names == ("W_b",)
+        assert deviations.units == {"I_p": "A", "W_b": "mm"}
+        assert deviations.units is not data.units
+        # deviation-scale data has no operating point; the input is left untouched
+        assert deviations.operating_point == {}
+        assert data.operating_point == {"I_p": 150.0}
+
+    def test_offsets_list_inputs_then_outputs(self):
+        data = Dataset(1.0, np.ones((10, 2)), np.zeros((10, 2)), ("b", "a"), ("d", "c"))
+        _, offsets = prepare_dataset(data, median_window=1)
+        assert list(offsets) == ["b", "a", "d", "c"]
+
     def test_even_window_rejected(self):
         with pytest.raises(ValueError, match="^window must be odd and >= 1, got 4$"):
             prepare_dataset(self._dataset(), median_window=4)

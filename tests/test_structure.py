@@ -277,7 +277,7 @@ class TestCompressedBank:
     @given(_bank_and_orders())
     def test_columns_follow_the_per_column_rule(self, case):
         data, orders, sweep = case
-        bank = _CompressedBank(data, orders, 0, orders.max_lag)
+        bank = _CompressedBank(data, orders, 0)
         column_map = build_regressor(data, orders, 0).column_map
         for sub in sweep:
             want = [i for i, c in enumerate(column_map) if _reference_spans(sub, c)]
@@ -287,13 +287,13 @@ class TestCompressedBank:
     def test_layout_is_bitwise_the_column_stack_one(self, n_samples, noise_std):
         data = preset_oracle_dataset(n_samples=n_samples, noise_std=noise_std)
         for s, (orders, start) in [(0, _SCAN_BANK), (1, _SCAN_BANK), *enumerate(_SEARCH_BANKS)]:
-            prob = build_regressor(data, orders, s, start=start)
+            prob = build_regressor(data, orders, s)
             H_ref, y_ref = _reference_regressor(data, orders, s, start)
             assert prob.H.tobytes() == H_ref.tobytes()
             assert prob.y.tobytes() == y_ref.tobytes()
             assert prob.H.flags.f_contiguous
             assert prob.H.base is prob.y.base
-            R = _CompressedBank(data, orders, s, start).R
+            R = _CompressedBank(data, orders, s).R
             R_ref = np.linalg.qr(np.column_stack([H_ref, y_ref]), mode="r")
             assert R.tobytes() == R_ref.tobytes()
 
@@ -303,29 +303,31 @@ class TestCompressedBank:
         bank_bytes = (data.n_samples - start) * (orders.n_parameters + 1) * 8
         tracemalloc.start()
         try:
-            _CompressedBank(data, orders, 0, start)
+            _CompressedBank(data, orders, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # tracemalloc counts numpy arrays, the bank and the QR's copy, but not
-        # the LAPACK work buffer that numpy's qr allocates with malloc; a peak
-        # below one bank would mean it missed the arrays too
+        # three bank-sized buffers are alive while numpy's qr runs: the bank,
+        # numpy's copy of it and the LAPACK work buffer.  tracemalloc counts
+        # the two numpy arrays but not the work buffer, which numpy's qr
+        # allocates with malloc; a peak below one bank would mean it missed
+        # the arrays too
         assert bank_bytes <= peak <= 2.1 * bank_bytes
 
     def test_needs_more_rows_than_regressors(self):
         # 6 output lags and 2 inputs x 4 powers x 7 lags: 62 regressors from row 7
         orders, start = _SEARCH_BANKS[0]
         data = preset_oracle_dataset(n_samples=start + orders.n_parameters + 1)
-        assert _CompressedBank(data, orders, 0, start).n_rows == orders.n_parameters + 1
+        assert _CompressedBank(data, orders, 0).n_rows == orders.n_parameters + 1
         short = preset_oracle_dataset(n_samples=start + orders.n_parameters)
         with pytest.raises(ValueError, match="^series of length 69 too short for 62 regressors "
                                              "from row 7$"):
-            _CompressedBank(short, orders, 0, start)
+            _CompressedBank(short, orders, 0)
 
     def test_power_is_the_mean_square_of_y(self):
         data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
         orders, start = _SCAN_BANK
-        bank = _CompressedBank(data, orders, 1, start)
+        bank = _CompressedBank(data, orders, 1)
         assert bank.power == float(np.mean(data.outputs[start:, 1] ** 2))
 
 
@@ -416,10 +418,16 @@ class TestDelayEstimation:
             assert estimate_delay(u, shifted, max_lag=8).delay == base + k
 
     def test_constant_series_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
+        with pytest.raises(ValueError, match="^constant input series 'u'$"):
             estimate_delay(np.ones(400), np.arange(400.0), max_lag=5)
-        with pytest.raises(ValueError, match="constant"):
+        with pytest.raises(ValueError, match="^constant output series 'y'$"):
             estimate_delay(np.arange(400.0), np.ones(400), max_lag=5)
+
+    @pytest.mark.parametrize("output", [2, -1])
+    def test_output_index_checked_before_the_constant_checks(self, output):
+        data = preset_oracle_dataset(n_samples=200)
+        with pytest.raises(ValueError, match=f"^output index {output} out of range$"):
+            estimate_delays(data, output, max_lag=5)
 
     def test_max_lag_bound(self):
         with pytest.raises(ValueError, match="max_lag"):
@@ -477,8 +485,7 @@ class TestSelectStructure:
         for s, result, start in [(0, result_1, 7), (1, result_2, 9)]:
             direct = []
             for c in result.candidates:
-                prob = build_regressor(data, c.orders, s, start=start)
-                direct.append(_direct_loss(prob.H, prob.y))
+                direct.append(_direct_loss(*_reference_regressor(data, c.orders, s, start)))
             power = float(np.mean(data.outputs[start:, s] ** 2))
             _assert_losses_close([c.loss for c in result.candidates], direct, power)
 

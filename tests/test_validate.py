@@ -45,6 +45,23 @@ class TestSplit:
         assert train.n_samples + test.n_samples == data.n_samples
 
 
+    def test_other_fields_carried_over(self):
+        data = preset_oracle_dataset(n_samples=80)
+        data.sample_period = 0.5
+        data.units = {"I_p": "A", "W_b": "mm"}
+        data.operating_point = {"I_p": 150.0, "H_f": 2.5}
+        for piece in split_dataset(data, 30):
+            assert piece.sample_period == 0.5
+            assert piece.input_names == data.input_names
+            assert piece.output_names == data.output_names
+            assert piece.units == data.units
+            assert piece.units is not data.units
+            assert piece.operating_point == data.operating_point
+            assert piece.operating_point is not data.operating_point
+            assert not np.shares_memory(piece.inputs, data.inputs)
+            assert not np.shares_memory(piece.outputs, data.outputs)
+
+
 class TestEvaluate:
     def test_generating_model_scores_zero(self):
         data = preset_oracle_dataset(n_samples=300)
