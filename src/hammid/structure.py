@@ -3,10 +3,12 @@
 Delays come from a residual-loss scan: the numerator block of one input is
 slid to later and later starting lags, and the delay is the largest start
 that costs nothing — exactly the number of leading zero numerator taps the
-data supports.  Degree p and the orders (n, m) are then chosen by sweeps
-that stop where the loss J = ||y - H theta||^2 / rows no longer improves
-noticeably (relative plateau threshold) or has reached the data's numerical
-noise floor.
+data supports.  Degree p and the orders (n, m) are then chosen by sweeps.
+Every sweep is scored in full, and each selection is read off its whole
+vector of losses J = ||y - H theta||^2 / rows.  The scan, n and m take the
+smallest model whose J lies within a relative tolerance of the sweep's
+smallest J or at the data's numerical noise floor.  p takes the first
+degree at the floor or that the next degree no longer improves noticeably.
 
 Every candidate of the scan, and every candidate of the search, regresses
 one output over the same row window on a subset of one fixed bank of
@@ -200,6 +202,21 @@ class _CompressedBank:
         return _nested_losses(self.R, self.n_rows, (self.columns(orders) for orders in sweep))
 
 
+def _first_within(losses: np.ndarray, tol: float, floor: float) -> int:
+    """Index of the first loss, smallest model first, that is at most
+    (1 + ``tol``) times the smallest loss or at most ``floor``."""
+    return int(np.argmax(losses <= max((1.0 + tol) * losses.min(), floor)))
+
+
+def _first_plateau(losses: np.ndarray, threshold: float, floor: float) -> int:
+    """Index of the first loss that is at most ``floor`` or that the next
+    loss improves on by less than ``threshold`` (relative); else the last."""
+    J, J_next = losses[:-1], losses[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # J = 0 is at the floor
+        stop = (J <= floor) | ((J - J_next) / J < threshold)
+    return int(np.argmax(np.append(stop, True)))
+
+
 def _uniform_orders(n: int, m: int, p: int, delays) -> StructureOrders:
     return StructureOrders(
         n=n, channels=tuple(ChannelOrders(p=p, m=m, d=d) for d in delays)
@@ -232,8 +249,6 @@ def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float
     u0 = u - u.mean()
     y0 = y - y.mean()
     denom = float(np.sqrt((u0 @ u0) * (y0 @ y0)))
-    if denom == 0:
-        raise ValueError("constant series: cross-correlation undefined")
     peak = 0.0
     for lag in range(max_lag + 1):
         c = float(u0[: len(u0) - lag] @ y0[lag:]) / denom
@@ -248,7 +263,8 @@ def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstim
     are regressed on the output while the scanned input's block starts at
     candidate lag d = 0, 1, ...; the loss stays at its minimum for every d
     up to the true delay (those leading taps are genuinely zero) and jumps
-    beyond it.  The estimate is the largest candidate before the jump.
+    beyond it.  The estimate is the largest candidate whose loss lies within
+    ``_DELAY_JUMP_TOL`` of the scan's smallest, or at the exact-fit floor.
     ``max_lag`` must lie in [0, N/4), and no series may be constant.
     """
     if max_lag < 0 or max_lag >= data.n_samples // 4:
@@ -273,19 +289,12 @@ def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstim
             channels = list(full.channels)
             channels[j] = replace(channels[j], d=d, m=span - d)
             sweep.append(replace(full, channels=channels))
-        losses = bank.losses(sweep)[::-1]
-        bound = max(losses[0] * (1.0 + _DELAY_JUMP_TOL), floor)
-        delay = 0
-        for d in range(max_lag + 1):
-            if losses[d] <= bound:
-                delay = d
-            else:
-                break
+        losses = bank.losses(sweep)
         peak = _cross_correlation_peak(data.inputs[:, j], y, max_lag)
         results.append(
             DelayEstimate(
-                delay=delay,
-                losses=losses,
+                delay=max_lag - _first_within(losses, _DELAY_JUMP_TOL, floor),
+                losses=losses[::-1],
                 peak_correlation=peak,
                 significance_bound=2.0 / np.sqrt(data.n_samples),
             )
@@ -343,12 +352,14 @@ def select_structure(
     All candidates share the row window implied by the search bounds so
     their losses are comparable; each is a column subset of the bank at the
     bounds' orders.  Sweep order: degree p first (at the full
-    dynamic orders), then n (at full m), then m.  Each sweep stops at the
-    smallest order whose successor improves J by less than the plateau
-    threshold, or whose J is already below the convergence floor (relative
-    to output power) — the stopping rule for noise-free data, where J keeps
-    shrinking by large factors all the way down to round-off.  Both
-    thresholds must be >= 0; a negative one would never stop a sweep.
+    dynamic orders), then n (at full m), then m.  Every sweep is scored to
+    its bound and every candidate recorded.  p is the smallest degree whose
+    successor improves J by less than the plateau threshold, or whose J is
+    already below the convergence floor (relative to output power) — the
+    rule for noise-free data, where J keeps shrinking by large factors all
+    the way down to round-off.  n and m are the smallest orders whose J lies
+    within the plateau threshold (relative) of the sweep's smallest J, or
+    below the floor.  Both thresholds must be >= 0.
     """
     for name, value in (("plateau_threshold", plateau_threshold),
                         ("convergence_floor", convergence_floor)):
@@ -362,34 +373,19 @@ def select_structure(
     floor = convergence_floor * bank.power
     candidates: list[Candidate] = []
 
-    def swept(stage, values, orders_at):
-        """Walk the order values; return the selected one."""
+    def swept(stage, values, rule, orders_at):
+        """Score every order value; return the one ``rule`` picks from the losses."""
         sweep = [orders_at(value) for value in values]
-        selected = prev = None
-        for value, orders, J in zip(values, sweep, bank.losses(sweep).tolist()):
-            candidates.append(Candidate(stage, orders, J))
-            if prev is not None and prev > 0 and (prev - J) / prev < plateau_threshold:
-                break
-            selected, prev = value, J
-            if J <= floor:
-                break
-        return selected
+        losses = bank.losses(sweep)
+        candidates.extend(Candidate(stage, o, J) for o, J in zip(sweep, losses.tolist()))
+        return values[rule(losses, plateau_threshold, floor)]
 
-    p_hat = swept(
-        "p",
-        range(1, bounds.p_max + 1),
-        lambda p: _uniform_orders(bounds.n_max, bounds.m_max, p, delays),
-    )
-    n_hat = swept(
-        "n",
-        range(1, bounds.n_max + 1),
-        lambda n: _uniform_orders(n, bounds.m_max, p_hat, delays),
-    )
-    m_hat = swept(
-        "m",
-        range(0, bounds.m_max + 1),
-        lambda m: _uniform_orders(n_hat, m, p_hat, delays),
-    )
+    p_hat = swept("p", range(1, bounds.p_max + 1), _first_plateau,
+                  lambda p: _uniform_orders(bounds.n_max, bounds.m_max, p, delays))
+    n_hat = swept("n", range(1, bounds.n_max + 1), _first_within,
+                  lambda n: _uniform_orders(n, bounds.m_max, p_hat, delays))
+    m_hat = swept("m", range(0, bounds.m_max + 1), _first_within,
+                  lambda m: _uniform_orders(n_hat, m, p_hat, delays))
 
     return StructureSearchResult(
         candidates=tuple(candidates),

@@ -25,9 +25,12 @@ from hammid import (
 )
 from hammid.estimate import RegressionProblem
 from hammid.structure import (
+    _DELAY_JUMP_TOL,
     _EXACT_FIT_FLOOR,
     AugmentationError,
     _CompressedBank,
+    _first_plateau,
+    _first_within,
     _nested_losses,
 )
 
@@ -445,6 +448,71 @@ class TestDelayEstimation:
             select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4))
 
 
+def _reference_walk(losses, threshold, floor):
+    """The order sweep as an early-stopping walk: index of the selected value."""
+    selected = prev = None
+    for i, J in enumerate(losses):
+        if prev is not None and prev > 0 and (prev - J) / prev < threshold:
+            break
+        selected, prev = i, J
+        if J <= floor:
+            break
+    return selected
+
+
+def _reference_delay_loop(losses, tol, floor):
+    """The delay scan's contiguous bound loop over losses at d = 0, 1, ..."""
+    bound = max(losses[0] * (1.0 + tol), floor)
+    delay = 0
+    for d in range(len(losses)):
+        if losses[d] <= bound:
+            delay = d
+        else:
+            break
+    return delay
+
+
+@st.composite
+def _sweep_losses(draw):
+    """A non-increasing loss vector, smallest model first, as nested sweeps
+    give, with a threshold and a floor.  Steps are exactly flat, at the
+    threshold (or one ulp either side), down to zero, or by a random ratio;
+    the floor is zero, one of the losses, or arbitrary."""
+    threshold = draw(st.sampled_from([0.0, 0.02, _DELAY_JUMP_TOL, 0.5]))
+    losses = [draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(1e-30, 1e3))]
+    for _ in range(draw(st.integers(0, 9))):
+        prev = losses[-1]
+        step = draw(st.sampled_from(["flat", "threshold", "zero", "ratio"]))
+        if step == "flat":
+            nxt = prev
+        elif step == "threshold":
+            nxt = prev - threshold * prev
+            nxt = np.nextafter(nxt, draw(st.sampled_from([nxt, 0.0, np.inf])))
+        elif step == "zero":
+            nxt = 0.0
+        else:
+            nxt = prev * draw(st.floats(0.0, 1.0))
+        losses.append(min(float(nxt), prev))
+    floor = draw(st.one_of(st.just(0.0), st.sampled_from(losses), st.floats(0.0, 1e3)))
+    return np.array(losses), threshold, floor
+
+
+class TestSelectionRules:
+    @given(_sweep_losses())
+    def test_plateau_rule_is_the_walk(self, case):
+        losses, threshold, floor = case
+        assert _first_plateau(losses, threshold, floor) == _reference_walk(
+            losses.tolist(), threshold, floor)
+
+    @given(_sweep_losses())
+    def test_within_rule_is_the_delay_loop(self, case):
+        # the scan's sweep runs from d = max_lag down to 0
+        losses, tol, floor = case
+        max_lag = len(losses) - 1
+        assert max_lag - _first_within(losses, tol, floor) == _reference_delay_loop(
+            losses[::-1].tolist(), tol, floor)
+
+
 class TestSelectStructure:
     def _synthetic(self, r, b, d, a, n_samples=1000, seed=99, e=None):
         from hammid.excitation import AmplitudeGrid, generate_excitation
@@ -489,6 +557,21 @@ class TestSelectStructure:
             power = float(np.mean(data.outputs[start:, s] ** 2))
             _assert_losses_close([c.loss for c in result.candidates], direct, power)
 
+    def test_preset_orders_on_noise_free_data(self):
+        # the W_b n-sweep improves by 0.2% from n = 2 to 3 and by 74% from
+        # 3 to 4: the whole sweep, not its first flat step, holds the order
+        data = preset_oracle_dataset(n_samples=1070)
+        for s, delays, want in [(0, [1, 1], (5, 5, 2)), (1, [3, 3], (5, 5, 4))]:
+            result = select_structure(data, s, delays, SearchBounds(6, 6, 4))
+            sel = result.selected
+            assert (sel.n, sel.channels[0].m, sel.channels[0].p) == want
+            stages = [(c.stage, c.orders.n, c.orders.channels[0].m, c.orders.channels[0].p)
+                      for c in result.candidates]
+            n_hat, _, p_hat = want
+            assert stages == ([("p", 6, 6, p) for p in range(1, 5)]
+                              + [("n", n, 6, p_hat) for n in range(1, 7)]
+                              + [("m", n_hat, m, p_hat) for m in range(0, 7)])
+
     def test_deterministic(self):
         data = self._synthetic([0.25], [1.0, 0.5], 1, [-1.5, 0.7])
         a = select_structure(data, 0, [1], SearchBounds(4, 4, 3))
@@ -508,7 +591,7 @@ class TestSelectStructure:
 
     @pytest.mark.parametrize("key", ["plateau_threshold", "convergence_floor"])
     def test_negative_threshold_rejected(self, key):
-        # a negative threshold would run every sweep to its bound
+        # no loss lies below a negative floor or within a negative margin of the best
         data = self._synthetic([0.25], [1.0, 0.5], 1, [-1.5, 0.7])
         with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -0.5$"):
             select_structure(data, 0, [1], SearchBounds(4, 4, 3), **{key: -0.5})
