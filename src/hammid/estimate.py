@@ -136,9 +136,10 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
 
     Every column is written straight into one Fortran-ordered array [H y]
     with y last, and ``H`` and ``y`` are views of it (``H.base``).  LAPACK
-    reads Fortran order, so a QR of [H y] takes that array as it is.  While
-    numpy's ``qr`` runs, three regression-sized buffers are alive: this
-    array, numpy's own copy of it and LAPACK's work buffer.
+    reads Fortran order, so a QR of [H y] takes that array as it is.  Rows
+    s .. e - 1 alone come from samples s - max_lag .. e - 1 of the data: the
+    structure bank builds [H y] that way, one block of rows at a time, and
+    folds each block into its R factor in place.
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -200,17 +201,20 @@ def batch_ls(prob: RegressionProblem) -> BatchResult:
     """Solve min ||y - H theta|| by orthogonal factorization.
 
     Raises :class:`RankDeficiencyError` when the numerical rank (at the
-    relative cutoff ``_BATCH_RCOND``) is below the column count.
+    relative cutoff ``_BATCH_RCOND``) is below the column count.  The solve
+    and the residual run on scipy's BLAS, as the structure search does (see
+    :mod:`hammid.structure`), so one OpenBLAS thread pool serves both.
     """
     H, y = prob.H, prob.y
     if H.shape[1] == 0:
         raise ValueError("regression has no columns")
-    theta, _, rank, sv = np.linalg.lstsq(H, y, rcond=_BATCH_RCOND)
+    theta, _, rank, sv = scipy.linalg.lstsq(H, y, cond=_BATCH_RCOND, lapack_driver="gelsd")
     if rank < H.shape[1]:
         raise RankDeficiencyError(rank, H.shape[1], _name_offenders(H, rank, prob.column_map))
-    resid = y - H @ theta
+    resid = y - scipy.linalg.blas.dgemv(1.0, H, theta)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return BatchResult(theta=theta, loss=float(resid @ resid) / len(y), rank=int(rank), condition=cond)
+    return BatchResult(theta=theta, loss=float(np.sum(resid * resid)) / len(y), rank=int(rank),
+                       condition=cond)
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,28 @@ degree at the floor or that the next degree no longer improves noticeably.
 
 Every candidate of the scan, and every candidate of the search, regresses
 one output over the same row window on a subset of one fixed bank of
-lagged-output and lagged-input-power columns.  The bank is built once per
-output and compressed by a single QR factorization of [H y] (QR data
-compression).  The candidates of one sweep are nested: the scan's
-candidate at d spans the one at d + 1 plus input j's lag-d columns, and the
-p, n and m sweeps each add one group of columns per step.  So each sweep
-re-orders R's columns, new columns of each candidate after the previous
-candidate's and r_y last, and re-factors; every candidate's loss is then a
-tail sum of squares of the last column of that factor.  On exact data a
-column may lie in the span of the columns before it; the first such column
-is dropped and the factor re-computed, one column at a time, which changes
-no candidate's span and so no loss.  :func:`augment_columns` is the paper's
-partitioned update of a solution when columns are appended: it inverts only
-the Schur complement of the new columns and gives the same solution as a
-direct solve.
+lagged-output and lagged-input-power columns.  The bank is compressed to
+the R factor of [H y] (QR data compression) once per output: [H y] is
+built a block of rows at a time and each block is folded into R, so the
+whole bank is never held.  The candidates of one sweep are nested: the
+scan's candidate at d spans the one at d + 1 plus input j's lag-d columns,
+and the p, n and m sweeps each add one group of columns per step.  So each
+sweep re-orders R's columns, new columns of each candidate after the
+previous candidate's and r_y last, and re-factors; every candidate's loss
+is then a tail sum of squares of the last column of that factor.  On exact
+data a column may lie in the span of the columns before it; the first such
+column is dropped and the factor re-computed, one column at a time, which
+changes no candidate's span and so no loss.  :func:`augment_columns` is the
+paper's partitioned update of a solution when columns are appended: it
+inverts only the Schur complement of the new columns and gives the same
+solution as a direct solve.
+
+numpy and scipy may each ship their own OpenBLAS, each with its own thread
+pool, and two pools that spin on the same cores slow each other down.  So
+the delay scan and the order search factor with ``scipy.linalg`` and take
+long sums as plain numpy reductions: they make no numpy BLAS or LAPACK
+call large enough to thread, and neither does
+:func:`~hammid.estimate.batch_ls`.
 """
 
 from __future__ import annotations
@@ -50,6 +58,20 @@ _DELAY_JUMP_TOL = 0.2
 _DELAY_N_FIT = 8  # output lags of the delay-scan regression
 _DELAY_P_FIT = 4  # input powers of the delay-scan regression
 _DELAY_PAD = 8  # numerator lags past max_lag in every input's block
+# Rows of [H y] built and folded into a bank's R at a time, and dtpqrt's
+# inner block size nb.  Building and folding the 19 982 x 161 scan bank of
+# a 2e4-sample record (2-core box, two BLAS threads, median of 7) took, in s:
+#
+#   rows   nb 8   nb 16   nb 32   nb 64   tracemalloc peak
+#   1024   0.098  0.110   0.150   0.211    1.5 MiB
+#   2048   0.073  0.090   0.120   0.173    2.8 MiB
+#   4096   0.060  0.074   0.104   0.170    5.3 MiB
+#   8192   0.062  0.076   0.105   0.136   10.4 MiB
+#
+# against 0.121 s and 49.4 MiB for the whole bank and one numpy QR.  With
+# one BLAS thread every entry from 2048 rows up lay within 0.06-0.10 s.
+_BANK_BLOCK_ROWS = 4096
+_BANK_NB = 8
 
 
 class AugmentationError(ValueError):
@@ -135,9 +157,10 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
             raise ValueError("column sets are not nested")
         order += sorted(cols.difference(order))
         sizes.append(len(order))
-    tol = np.finfo(float).eps * n_rows * np.linalg.norm(R[:, order])
+    R_S = R[:, order]
+    tol = np.finfo(float).eps * n_rows * np.sqrt(np.sum(R_S * R_S))
     while True:
-        Rn = np.linalg.qr(R[:, order + [R.shape[1] - 1]], mode="r")
+        Rn = scipy.linalg.qr(R[:, order + [R.shape[1] - 1]], mode="r", check_finite=False)[0]
         diag = np.abs(np.diag(Rn))[:len(order)]
         dependent = np.flatnonzero(diag <= tol)
         i = dependent[0] if dependent.size else len(diag)
@@ -162,31 +185,41 @@ class _CompressedBank:
     ``power``, the mean square of y over the bank's rows, scales both
     stages' loss floors.
 
-    The QR reads the Fortran-ordered [H y] array that
-    :func:`~hammid.estimate.build_regressor` wrote.  While it runs, three
-    bank-sized buffers are alive: that array, numpy's copy of it and
-    LAPACK's work buffer.  The bank keeps each column's kind, lag, input and
-    power as vectors, and :meth:`columns` compares them with a candidate's
-    orders.
+    [H y] is never whole: :func:`~hammid.estimate.build_regressor` writes it
+    ``_BANK_BLOCK_ROWS`` rows at a time, and LAPACK's triangular-pentagonal
+    QR ``dtpqrt`` folds each block into R, which starts at zero (sequential
+    TSQR).  So one block and R are all the bank memory alive.  The bank
+    keeps each column's kind, lag, input and power as vectors, and
+    :meth:`columns` compares them with a candidate's orders.
     """
 
     def __init__(self, data: Dataset, orders: StructureOrders, output: int):
         start = orders.max_lag
-        if data.n_samples - start <= orders.n_parameters:
+        N = data.n_samples
+        k = orders.n_parameters
+        if N - start <= k:
             raise ValueError(
-                f"series of length {data.n_samples} too short for "
-                f"{orders.n_parameters} regressors from row {start}"
+                f"series of length {N} too short for {k} regressors from row {start}"
             )
-        prob = build_regressor(data, orders, output)
-        self.n_rows = prob.n_rows
-        self.power = float(np.mean(prob.y ** 2))
-        cmap = prob.column_map
+        self.n_rows = N - start
+        self.power = float(np.mean(data.outputs[start:, output] ** 2))
+        R = np.zeros((k + 1, k + 1), order="F")
+        nb = min(_BANK_NB, k + 1)
+        for s in range(start, N, _BANK_BLOCK_ROWS):
+            e = min(s + _BANK_BLOCK_ROWS, N)
+            # samples s - start .. e - 1 give exactly the bank's rows s .. e - 1
+            block = build_regressor(replace(data, inputs=data.inputs[s - start:e],
+                                            outputs=data.outputs[s - start:e]), orders, output)
+            R = scipy.linalg.lapack.dtpqrt(0, nb, R, block.H.base,
+                                           overwrite_a=1, overwrite_b=1)[0]
+            cmap = block.column_map
+            del block  # else it stays alive while the next block is built
+        self.R = R
         self._output_lag = np.array([c.kind == "output_lag" for c in cmap])
         self._lag = np.array([c.lag for c in cmap])
         # output lags belong to no input; 0 only keeps them a valid index
         self._input = np.array([c.input or 0 for c in cmap])
         self._power = np.array([c.power or 0 for c in cmap])
-        self.R = np.linalg.qr(prob.H.base, mode="r")
 
     def columns(self, orders: StructureOrders) -> list[int]:
         """Indices of the bank columns that the regression at ``orders`` uses."""
@@ -248,10 +281,10 @@ class DelayEstimate:
 def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float:
     u0 = u - u.mean()
     y0 = y - y.mean()
-    denom = float(np.sqrt((u0 @ u0) * (y0 @ y0)))
+    denom = float(np.sqrt(np.sum(u0 * u0) * np.sum(y0 * y0)))
     peak = 0.0
     for lag in range(max_lag + 1):
-        c = float(u0[: len(u0) - lag] @ y0[lag:]) / denom
+        c = float(np.sum(u0[: len(u0) - lag] * y0[lag:])) / denom
         peak = max(peak, abs(c))
     return peak
 

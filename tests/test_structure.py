@@ -25,6 +25,7 @@ from hammid import (
 )
 from hammid.estimate import RegressionProblem
 from hammid.structure import (
+    _BANK_BLOCK_ROWS,
     _DELAY_JUMP_TOL,
     _EXACT_FIT_FLOOR,
     AugmentationError,
@@ -296,26 +297,54 @@ class TestCompressedBank:
             assert prob.y.tobytes() == y_ref.tobytes()
             assert prob.H.flags.f_contiguous
             assert prob.H.base is prob.y.base
+            # the block fold fixes R only up to round-off and the signs of
+            # its rows, but R'R is [H y]'[H y]
+            A = np.column_stack([H_ref, y_ref])
             R = _CompressedBank(data, orders, s).R
-            R_ref = np.linalg.qr(np.column_stack([H_ref, y_ref]), mode="r")
-            assert R.tobytes() == R_ref.tobytes()
+            assert np.array_equal(R, np.triu(R))
+            norms = np.linalg.norm(A, axis=0)
+            assert np.all(np.abs(R.T @ R - A.T @ A) <= 1e-13 * np.outer(norms, norms))
 
-    def test_at_most_two_copies_of_the_bank_held(self):
+    def test_at_most_one_block_held(self):
         data = preset_oracle_dataset(n_samples=20_000)
         orders, start = _SCAN_BANK
-        bank_bytes = (data.n_samples - start) * (orders.n_parameters + 1) * 8
+        block_bytes = _BANK_BLOCK_ROWS * (orders.n_parameters + 1) * 8
+        # 19 982 rows: four full blocks and one of 3 598 rows
+        assert 4 * _BANK_BLOCK_ROWS < data.n_samples - start < 5 * _BANK_BLOCK_ROWS
         tracemalloc.start()
         try:
             _CompressedBank(data, orders, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # three bank-sized buffers are alive while numpy's qr runs: the bank,
-        # numpy's copy of it and the LAPACK work buffer.  tracemalloc counts
-        # the two numpy arrays but not the work buffer, which numpy's qr
-        # allocates with malloc; a peak below one bank would mean it missed
-        # the arrays too
-        assert bank_bytes <= peak <= 2.1 * bank_bytes
+        # one [H y] block, R and dtpqrt's small T are alive at a time; a
+        # peak below one block would mean tracemalloc missed the block
+        assert block_bytes <= peak <= 1.5 * block_bytes
+
+    # Rows of the scan bank at max_lag 10 are N - 18 and of the search
+    # banks N - 7 and N - 9, so each case folds the banks in other blocks.
+    @pytest.mark.parametrize("block_rows, n_samples", [
+        (200, 1019),  # scan: 1001 rows = 5 x 200 + a last block of one row
+        (200, 1018),  # scan: 1000 rows, an exact multiple of the block
+        (2000, 1070),  # every bank fewer rows than one block
+        (7, 1070),  # blocks of fewer rows than a bank has columns
+    ])
+    def test_block_fold_matches_direct_solve(self, monkeypatch, block_rows, n_samples):
+        monkeypatch.setattr("hammid.structure._BANK_BLOCK_ROWS", block_rows)
+        data = preset_oracle_dataset(n_samples=n_samples, noise_std=0.01)
+        for s, delays, start in [(0, [1, 1], 7), (1, [3, 3], 9)]:
+            y = data.outputs[:, s]
+            ests = estimate_delays(data, s, max_lag=10)
+            want, profiles = _reference_delay_scan(data.inputs, y, max_lag=10)
+            assert [e.delay for e in ests] == want == delays
+            power = float(np.mean(y[18:] ** 2))
+            for est, losses in zip(ests, profiles):
+                _assert_losses_close(est.losses, losses, power)
+            result = select_structure(data, s, delays, SearchBounds(6, 6, 4))
+            direct = [_direct_loss(*_reference_regressor(data, c.orders, s, start))
+                      for c in result.candidates]
+            power = float(np.mean(y[start:] ** 2))
+            _assert_losses_close([c.loss for c in result.candidates], direct, power)
 
     def test_needs_more_rows_than_regressors(self):
         # 6 output lags and 2 inputs x 4 powers x 7 lags: 62 regressors from row 7
@@ -446,6 +475,24 @@ class TestDelayEstimation:
         with pytest.raises(ValueError, match="^series of length 60 too short for 62 regressors "
                                              "from row 7$"):
             select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4))
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.01])
+def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
+    # numpy's and scipy's OpenBLAS each keep their own thread pool, so the
+    # identify path factors and solves on scipy's alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    # 4 982 scan rows: two blocks
+    data = preset_oracle_dataset(n_samples=5000, noise_std=noise_std)
+    for name in ("qr", "lstsq", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for s, delays in [(0, [1, 1]), (1, [3, 3])]:
+        assert [e.delay for e in estimate_delays(data, s, max_lag=10)] == delays
+        result = select_structure(data, s, delays, SearchBounds(6, 6, 4))
+        assert batch_ls(build_regressor(data, result.selected, s)).rank == \
+            result.selected.n_parameters
 
 
 def _reference_walk(losses, threshold, floor):
