@@ -30,14 +30,25 @@ from .model import (
 
 ALPHA_SQ_BRACKET = (1e5, 1e10)
 DEFAULT_ALPHA_SQ = 1e6
-# Rows per rank-B update in run_rls.  On the fixed-rls benchmark regressions
-# (5e4 rows of 37 and 41 columns, 2-core OpenBLAS, median of 7 runs, both
-# outputs) 32, 64, 96, 128, 192, 256, 512 and 1024 rows took 0.25, 0.15,
-# 0.11, 0.09, 0.11, 0.16, 0.18 and 0.17 s with two BLAS threads, and 0.22,
-# 0.14, 0.11, 0.10, 0.09, 0.08, 0.05 and 0.07 s with one; 128 is the
-# two-thread minimum and within 0.05 s of the one-thread one.
-_BLOCK_ROWS = 128
 _BATCH_RCOND = 1e-10  # singular values below this share of the largest count as zero
+# Rows of [H y] folded into an R factor at a time, and dtpqrt's inner block
+# size nb.  Building and folding the 19 982 x 161 scan bank of a 2e4-sample
+# record (2-core box, two BLAS threads, median of 7) took, in s:
+#
+#   rows   nb 8   nb 16   nb 32   nb 64   tracemalloc peak
+#   1024   0.098  0.110   0.150   0.211    1.5 MiB
+#   2048   0.073  0.090   0.120   0.173    2.8 MiB
+#   4096   0.060  0.074   0.104   0.170    5.3 MiB
+#   8192   0.062  0.076   0.105   0.136   10.4 MiB
+#
+# against 0.121 s and 49.4 MiB for the whole bank and one numpy QR.  With
+# one BLAS thread every entry from 2048 rows up lay within 0.06-0.10 s.
+_FOLD_ROWS = 4096
+_FOLD_NB = 8
+# Rows per block of the final fits: OpenBLAS threads dtpqrt's inner calls from
+# about 1024 rows, and its idle threads then spin on the other core (fixed-rls
+# run_rls: 0.025 s of wall and CPU time at 512, 0.040 s wall, 0.080 s CPU at 4096).
+_FIT_FOLD_ROWS = 512
 
 
 class RankDeficiencyError(ValueError):
@@ -139,7 +150,7 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
     reads Fortran order, so a QR of [H y] takes that array as it is.  Rows
     s .. e - 1 alone come from samples s - max_lag .. e - 1 of the data: the
     structure bank builds [H y] that way, one block of rows at a time, and
-    folds each block into its R factor in place.
+    :func:`fold_rows` folds each block into its R factor in place.
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -172,7 +183,51 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
 
 
 # ---------------------------------------------------------------------------
-# Batch least squares
+# Least squares by one row fold: batch, recursive, and the structure bank
+
+def fold_rows(F: np.ndarray, n_rows: int, rows, block_rows: int | None = None) -> np.ndarray:
+    """Fold rows 0 .. ``n_rows`` - 1 of [H y] into F, the upper-triangular
+    Fortran R factor [R z; 0 rho] of the rows before them (zero, or a prior).
+
+    ``rows(s, e)`` gives rows s .. e - 1 as a Fortran array that the fold
+    may overwrite.  LAPACK's triangular-pentagonal QR ``dtpqrt`` folds them
+    into F ``block_rows`` (default ``_FOLD_ROWS``) at a time (sequential TSQR;
+    Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012), so
+    one block and F are all that is alive.  A row holding NaN or inf is
+    rejected by number.
+    """
+    nb = min(_FOLD_NB, F.shape[0])
+    block_rows = block_rows or _FOLD_ROWS
+    for s in range(0, n_rows, block_rows):
+        block = rows(s, min(s + block_rows, n_rows))
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite regressor or target in row {s + int(np.argmin(finite))}")
+        F = scipy.linalg.lapack.dtpqrt(0, nb, F, block, overwrite_a=1, overwrite_b=1)[0]
+        del block  # else it stays alive while the next block is built
+    return F
+
+
+def _fold_problem(state: EstimatorState, prob: RegressionProblem):
+    """``state`` with every row of ``prob`` folded in, and the residual rho.
+
+    Bierman's square-root information filter (Factorization Methods for
+    Discrete Sequential Estimation, 1977): R+'R+ = R'R + H'H and
+    R+'z+ = R'z + H'y, and P is never formed.  The blocks are copies: the
+    fold overwrites them, and ``prob`` is the caller's.
+    """
+    k = prob.n_columns
+    F = np.zeros((k + 1, k + 1), order="F")
+    F[:k, :k], F[:k, k] = state.R, state.z
+
+    def rows(s, e):
+        block = np.empty((e - s, k + 1), order="F")
+        block[:, :k], block[:, k] = prob.H[s:e], prob.y[s:e]
+        return block
+
+    F = fold_rows(F, prob.n_rows, rows, _FIT_FOLD_ROWS)
+    return EstimatorState(F[:k, :k], F[:k, k], state.samples_seen + prob.n_rows), F[k, k]
+
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -200,25 +255,26 @@ def _name_offenders(H: np.ndarray, rank: int, column_map) -> list[tuple[str, str
 def batch_ls(prob: RegressionProblem) -> BatchResult:
     """Solve min ||y - H theta|| by orthogonal factorization.
 
-    Raises :class:`RankDeficiencyError` when the numerical rank (at the
-    relative cutoff ``_BATCH_RCOND``) is below the column count.  The solve
-    and the residual run on scipy's BLAS, as the structure search does (see
+    [H y] is folded from zero to [R z; 0 rho], as RLS folds it into its
+    prior.  theta solves R theta = z by singular value decomposition, which
+    gives H's rank and condition, and the loss is rho^2 / rows.  Raises
+    :class:`RankDeficiencyError` when the numerical rank (at the relative
+    cutoff ``_BATCH_RCOND``) is below the column count.  Fold and solve run
+    on scipy's BLAS, as the structure search does (see
     :mod:`hammid.structure`), so one OpenBLAS thread pool serves both.
     """
-    H, y = prob.H, prob.y
-    if H.shape[1] == 0:
+    k = prob.n_columns
+    if k == 0:
         raise ValueError("regression has no columns")
-    theta, _, rank, sv = scipy.linalg.lstsq(H, y, cond=_BATCH_RCOND, lapack_driver="gelsd")
-    if rank < H.shape[1]:
-        raise RankDeficiencyError(rank, H.shape[1], _name_offenders(H, rank, prob.column_map))
-    resid = y - scipy.linalg.blas.dgemv(1.0, H, theta)
+    fit, rho = _fold_problem(EstimatorState(np.zeros((k, k)), np.zeros(k)), prob)
+    theta, _, rank, sv = scipy.linalg.lstsq(fit.R, fit.z, cond=_BATCH_RCOND,
+                                            lapack_driver="gelsd", check_finite=False)
+    if rank < k:
+        raise RankDeficiencyError(rank, k, _name_offenders(prob.H, rank, prob.column_map))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return BatchResult(theta=theta, loss=float(np.sum(resid * resid)) / len(y), rank=int(rank),
+    return BatchResult(theta=theta, loss=float(rho * rho) / prob.n_rows, rank=int(rank),
                        condition=cond)
 
-
-# ---------------------------------------------------------------------------
-# Recursive least squares
 
 @dataclass
 class EstimatorState:
@@ -275,60 +331,23 @@ def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
     theta' = theta + P phi (1 + phi' P phi)^-1 (y - phi' theta)
     P'     = P - P phi (1 + phi' P phi)^-1 phi' P
 
-    Computed as the one-row case of :func:`_block_update` on the information
-    factor R, so P stays positive definite; :func:`run_rls` applies it to
-    many rows.
+    Computed as the one-row case of :func:`run_rls`'s fold of the
+    information factor R, so P stays positive definite.
     """
     phi = np.asarray(phi, dtype=float).ravel()
     if phi.shape != state.z.shape:
         raise ValueError(f"regressor dim {phi.shape} != state dim {state.z.shape}")
-    if not (np.all(np.isfinite(phi)) and np.isfinite(y_k)):
-        raise ValueError("non-finite regressor or target")
-    return _block_update(state, phi[None, :], [y_k])
-
-
-def _block_update(state: EstimatorState, Phi: np.ndarray, y) -> EstimatorState:
-    """Rank-B update of the information factor R and of z = R theta by B rows Phi.
-
-    One QR of the tall (d+B) x (d+1) array
-
-        [ R    z ]         [ R+  z+ ]
-        [ Phi  y ]  =  Q   [ 0   *  ]
-
-    gives R+'R+ = R'R + Phi'Phi, the information after the B rows, and
-    R+'z+ = R'z + Phi'y, so theta+ = R+^-1 z+ minimizes the same regularized
-    residual as B rank-one covariance updates.  This is Bierman's
-    square-root information filter (Factorization Methods for Discrete
-    Sequential Estimation, 1977): neither P nor P^-1 is formed, so round-off
-    cannot make them indefinite.
-    """
-    R, z = state.R, state.z
-    B, d = Phi.shape
-    M = np.empty((d + B, d + 1), order="F")
-    M[:d, :d] = R
-    M[:d, d] = z
-    M[d:, :d] = Phi
-    M[d:, d] = y
-    # geqrf leaves the reflectors below the triangle, so R+ is cut out by triu
-    F = scipy.linalg.lapack.dgeqrf(M, overwrite_a=True)[0]
-    return EstimatorState(np.triu(F[:d, :d]), F[:d, d].copy(), state.samples_seen + B)
+    return _fold_problem(state, RegressionProblem(phi[None, :], np.array([float(y_k)]), ()))[0]
 
 
 def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
     """Feed every row of a regression problem through the recursion.
 
-    Rows go in blocks of ``_BLOCK_ROWS``, each one exact rank-B update by
-    :func:`_block_update`; in exact arithmetic the state equals that of one
-    :func:`rls_update` per row.
+    The rows are folded into the prior R = I / sqrt(alpha_sq), z = 0 by
+    :func:`fold_rows`, ``_FIT_FOLD_ROWS`` at a time; in exact arithmetic the
+    state equals that of one :func:`rls_update` per row.
     """
-    H, y = prob.H, prob.y
-    finite = np.isfinite(H).all(axis=1) & np.isfinite(y)
-    if not finite.all():
-        raise ValueError(f"non-finite regressor or target in row {int(np.argmin(finite))}")
-    state = init_estimator(prob.n_columns, alpha_sq)
-    for k in range(0, prob.n_rows, _BLOCK_ROWS):
-        state = _block_update(state, H[k:k + _BLOCK_ROWS], y[k:k + _BLOCK_ROWS])
-    return state
+    return _fold_problem(init_estimator(prob.n_columns, alpha_sq), prob)[0]
 
 
 # ---------------------------------------------------------------------------

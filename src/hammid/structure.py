@@ -48,6 +48,7 @@ from .estimate import (
     RegressionProblem,
     StructureOrders,
     build_regressor,
+    fold_rows,
 )
 from .model import Dataset
 
@@ -58,20 +59,6 @@ _DELAY_JUMP_TOL = 0.2
 _DELAY_N_FIT = 8  # output lags of the delay-scan regression
 _DELAY_P_FIT = 4  # input powers of the delay-scan regression
 _DELAY_PAD = 8  # numerator lags past max_lag in every input's block
-# Rows of [H y] built and folded into a bank's R at a time, and dtpqrt's
-# inner block size nb.  Building and folding the 19 982 x 161 scan bank of
-# a 2e4-sample record (2-core box, two BLAS threads, median of 7) took, in s:
-#
-#   rows   nb 8   nb 16   nb 32   nb 64   tracemalloc peak
-#   1024   0.098  0.110   0.150   0.211    1.5 MiB
-#   2048   0.073  0.090   0.120   0.173    2.8 MiB
-#   4096   0.060  0.074   0.104   0.170    5.3 MiB
-#   8192   0.062  0.076   0.105   0.136   10.4 MiB
-#
-# against 0.121 s and 49.4 MiB for the whole bank and one numpy QR.  With
-# one BLAS thread every entry from 2048 rows up lay within 0.06-0.10 s.
-_BANK_BLOCK_ROWS = 4096
-_BANK_NB = 8
 
 
 class AugmentationError(ValueError):
@@ -185,12 +172,11 @@ class _CompressedBank:
     ``power``, the mean square of y over the bank's rows, scales both
     stages' loss floors.
 
-    [H y] is never whole: :func:`~hammid.estimate.build_regressor` writes it
-    ``_BANK_BLOCK_ROWS`` rows at a time, and LAPACK's triangular-pentagonal
-    QR ``dtpqrt`` folds each block into R, which starts at zero (sequential
-    TSQR).  So one block and R are all the bank memory alive.  The bank
-    keeps each column's kind, lag, input and power as vectors, and
-    :meth:`columns` compares them with a candidate's orders.
+    [H y] is never whole: :func:`~hammid.estimate.build_regressor` writes
+    it a block of rows at a time, and :func:`~hammid.estimate.fold_rows`
+    folds each into R from zero, so one block and R are all the bank memory
+    alive.  The bank keeps each column's kind, lag, input and power as
+    vectors, and :meth:`columns` compares them with a candidate's orders.
     """
 
     def __init__(self, data: Dataset, orders: StructureOrders, output: int):
@@ -203,18 +189,17 @@ class _CompressedBank:
             )
         self.n_rows = N - start
         self.power = float(np.mean(data.outputs[start:, output] ** 2))
-        R = np.zeros((k + 1, k + 1), order="F")
-        nb = min(_BANK_NB, k + 1)
-        for s in range(start, N, _BANK_BLOCK_ROWS):
-            e = min(s + _BANK_BLOCK_ROWS, N)
-            # samples s - start .. e - 1 give exactly the bank's rows s .. e - 1
-            block = build_regressor(replace(data, inputs=data.inputs[s - start:e],
-                                            outputs=data.outputs[s - start:e]), orders, output)
-            R = scipy.linalg.lapack.dtpqrt(0, nb, R, block.H.base,
-                                           overwrite_a=1, overwrite_b=1)[0]
-            cmap = block.column_map
-            del block  # else it stays alive while the next block is built
-        self.R = R
+        cmap = []
+
+        def rows(s, e):
+            # samples s .. start + e - 1 give exactly the bank's rows s .. e - 1;
+            # the block is the bank's own, so the fold may overwrite it
+            block = build_regressor(replace(data, inputs=data.inputs[s:start + e],
+                                            outputs=data.outputs[s:start + e]), orders, output)
+            cmap[:] = block.column_map
+            return block.H.base
+
+        self.R = fold_rows(np.zeros((k + 1, k + 1), order="F"), self.n_rows, rows)
         self._output_lag = np.array([c.kind == "output_lag" for c in cmap])
         self._lag = np.array([c.lag for c in cmap])
         # output lags belong to no input; 0 only keeps them a valid index

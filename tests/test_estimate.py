@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +21,7 @@ from hammid import (
     separate_parameters,
     simulate_channel,
 )
-from hammid.estimate import _BLOCK_ROWS, DEFAULT_ALPHA_SQ, RegressionProblem, assemble_model
+from hammid.estimate import _FIT_FOLD_ROWS, DEFAULT_ALPHA_SQ, RegressionProblem, assemble_model
 
 from helpers import expected_preset_theta, preset_oracle_dataset
 
@@ -56,12 +58,16 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-# no rows, part of one block, whole blocks, and whole blocks plus one row
+# Row counts are drawn around a small fold block, patched in, so that at
+# most 129 rows cross several blocks and some blocks have fewer rows than
+# the regression has columns: no rows, part of one block, whole blocks,
+# and whole blocks plus one row
+_SMALL_FOLD_ROWS = 32
 _ROW_COUNTS = st.one_of(
     st.just(0),
-    st.integers(1, _BLOCK_ROWS - 1),
-    st.integers(1, 4).map(lambda k: k * _BLOCK_ROWS),
-    st.integers(1, 4).map(lambda k: k * _BLOCK_ROWS + 1),
+    st.integers(1, _SMALL_FOLD_ROWS - 1),
+    st.integers(1, 4).map(lambda k: k * _SMALL_FOLD_ROWS),
+    st.integers(1, 4).map(lambda k: k * _SMALL_FOLD_ROWS + 1),
 )
 
 
@@ -156,9 +162,12 @@ class TestBatchLs:
         y = rng.normal(size=100)
         prob = RegressionProblem(H=H, y=y, column_map=())
         result = batch_ls(prob)
-        gram = H.T @ (y - H @ result.theta)
+        resid = y - H @ result.theta
+        gram = H.T @ resid
         bound = 1e-8 * np.linalg.norm(H) * np.linalg.norm(y)
         assert np.max(np.abs(gram)) < bound
+        # the loss is read off the fold's last diagonal entry, not a residual
+        assert result.loss == pytest.approx(float(resid @ resid) / 100, rel=1e-12)
 
     def test_condition_estimate_reported(self):
         H = np.diag([1.0, 1e-3])
@@ -243,7 +252,9 @@ class TestRls:
         rng = np.random.default_rng(seed)
         H = rng.normal(size=(rows, dim))
         y = H @ rng.normal(size=dim) + 0.1 * rng.normal(size=rows)
-        state = run_rls(RegressionProblem(H=H, y=y, column_map=()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("hammid.estimate._FIT_FOLD_ROWS", _SMALL_FOLD_ROWS)
+            state = run_rls(RegressionProblem(H=H, y=y, column_map=()))
         exact = _regularized_ls(H, y)
         assert np.linalg.norm(state.theta - exact) <= 1e-10 * np.linalg.norm(exact)
         fold = _rls_fold(H, y).theta
@@ -252,11 +263,17 @@ class TestRls:
         assert state.covariance_is_positive_definite()
         assert state.samples_seen == rows
 
-    @pytest.mark.parametrize("row", [0, 50, 100])
+    # both solvers share the fold's rule; run_rls's cases keep their ids
+    @pytest.mark.parametrize("solver, row", [
+        pytest.param(solver, row, id=f"{row}{suffix}")
+        for solver, suffix in [(run_rls, ""), (batch_ls, "-batch_ls")] for row in [0, 50, 100]
+    ])
     @pytest.mark.parametrize("target, value", [
         ("H", np.nan), ("H", np.inf), ("y", np.nan), ("y", -np.inf),
     ])
-    def test_run_rls_rejects_non_finite(self, row, target, value):
+    def test_run_rls_rejects_non_finite(self, monkeypatch, solver, row, target, value):
+        # rows 50 and 100 lie in the second and fourth fold block
+        monkeypatch.setattr("hammid.estimate._FIT_FOLD_ROWS", _SMALL_FOLD_ROWS)
         rng = np.random.default_rng(16)
         H = rng.normal(size=(101, 3))
         y = rng.normal(size=101)
@@ -265,7 +282,24 @@ class TestRls:
         else:
             y[row] = value
         with pytest.raises(ValueError, match=f"non-finite regressor or target in row {row}$"):
-            run_rls(RegressionProblem(H=H, y=y, column_map=()))
+            solver(RegressionProblem(H=H, y=y, column_map=()))
+
+    @pytest.mark.parametrize("solver", [run_rls, batch_ls])
+    @pytest.mark.parametrize("rows", [_SMALL_FOLD_ROWS - 1, _SMALL_FOLD_ROWS,
+                                      _SMALL_FOLD_ROWS + 1])
+    def test_solvers_leave_the_problem_unchanged(self, monkeypatch, solver, rows):
+        # fewer rows than, as many as, and more than a fold block; the fold
+        # overwrites its blocks, and build_regressor's H and y are views of
+        # one Fortran array that a single block would be
+        monkeypatch.setattr("hammid.estimate._FIT_FOLD_ROWS", _SMALL_FOLD_ROWS)
+        data = preset_oracle_dataset(n_samples=rows + 2, noise_std=0.01)
+        orders = StructureOrders(n=2, channels=(ChannelOrders(1, 1, 1), ChannelOrders(1, 1, 1)))
+        prob = build_regressor(data, orders, 0)
+        assert prob.n_rows == rows
+        H, y = prob.H.copy(), prob.y.copy()
+        solver(prob)
+        assert prob.H.tobytes() == H.tobytes()
+        assert prob.y.tobytes() == y.tobytes()
 
 
 class TestSeparation:
@@ -339,6 +373,23 @@ class TestPresetRecovery:
             H, y = prob.H[:2000], prob.y[:2000]
             prefix = run_rls(RegressionProblem(H=H, y=y, column_map=())).theta
             assert _rel(prefix, _rls_fold(H, y).theta) < 1e-10
+
+    @pytest.mark.parametrize("solver", [batch_ls, run_rls])
+    def test_solvers_hold_one_block_beyond_the_problem(self, solver):
+        data = preset_oracle_dataset(n_samples=20_000)
+        prob = build_regressor(data, self.ORDERS[0], 0)
+        block_bytes = _FIT_FOLD_ROWS * (prob.n_columns + 1) * 8
+        # 19 994 rows: [H y] is 39 blocks
+        assert 39 * _FIT_FOLD_ROWS < prob.n_rows < 40 * _FIT_FOLD_ROWS
+        tracemalloc.start()
+        try:
+            solver(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one copied block of [H y] and its finiteness mask are alive at a
+        # time; a copy of the whole H would be 39 blocks
+        assert block_bytes <= peak <= 1.5 * block_bytes
 
     def test_rls_exact_on_over_parameterized_noisy_regression(self):
         # orders of the kind the structure search tries, on noisy data: a

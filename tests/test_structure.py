@@ -20,12 +20,12 @@ from hammid import (
     estimate_delays,
     format_search_report,
     loss_J,
+    run_rls,
     select_structure,
     simulate_channel,
 )
-from hammid.estimate import RegressionProblem
+from hammid.estimate import _FOLD_ROWS, RegressionProblem
 from hammid.structure import (
-    _BANK_BLOCK_ROWS,
     _DELAY_JUMP_TOL,
     _EXACT_FIT_FLOOR,
     AugmentationError,
@@ -308,17 +308,18 @@ class TestCompressedBank:
     def test_at_most_one_block_held(self):
         data = preset_oracle_dataset(n_samples=20_000)
         orders, start = _SCAN_BANK
-        block_bytes = _BANK_BLOCK_ROWS * (orders.n_parameters + 1) * 8
+        block_bytes = _FOLD_ROWS * (orders.n_parameters + 1) * 8
         # 19 982 rows: four full blocks and one of 3 598 rows
-        assert 4 * _BANK_BLOCK_ROWS < data.n_samples - start < 5 * _BANK_BLOCK_ROWS
+        assert 4 * _FOLD_ROWS < data.n_samples - start < 5 * _FOLD_ROWS
         tracemalloc.start()
         try:
             _CompressedBank(data, orders, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one [H y] block, R and dtpqrt's small T are alive at a time; a
-        # peak below one block would mean tracemalloc missed the block
+        # one [H y] block, its finiteness mask, R and dtpqrt's small T are
+        # alive at a time; a peak below one block would mean tracemalloc
+        # missed the block
         assert block_bytes <= peak <= 1.5 * block_bytes
 
     # Rows of the scan bank at max_lag 10 are N - 18 and of the search
@@ -330,7 +331,7 @@ class TestCompressedBank:
         (7, 1070),  # blocks of fewer rows than a bank has columns
     ])
     def test_block_fold_matches_direct_solve(self, monkeypatch, block_rows, n_samples):
-        monkeypatch.setattr("hammid.structure._BANK_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr("hammid.estimate._FOLD_ROWS", block_rows)
         data = preset_oracle_dataset(n_samples=n_samples, noise_std=0.01)
         for s, delays, start in [(0, [1, 1], 7), (1, [3, 3], 9)]:
             y = data.outputs[:, s]
@@ -480,7 +481,8 @@ class TestDelayEstimation:
 @pytest.mark.parametrize("noise_std", [0.0, 0.01])
 def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
     # numpy's and scipy's OpenBLAS each keep their own thread pool, so the
-    # identify path factors and solves on scipy's alone
+    # identify path (scan, search, batch LS or RLS) factors and solves on
+    # scipy's alone
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
 
@@ -491,8 +493,13 @@ def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
     for s, delays in [(0, [1, 1]), (1, [3, 3])]:
         assert [e.delay for e in estimate_delays(data, s, max_lag=10)] == delays
         result = select_structure(data, s, delays, SearchBounds(6, 6, 4))
-        assert batch_ls(build_regressor(data, result.selected, s)).rank == \
-            result.selected.n_parameters
+        prob = build_regressor(data, result.selected, s)
+        batch = batch_ls(prob)
+        assert batch.rank == result.selected.n_parameters
+        # at the top of the prior bracket RLS lies within 1e-6 of batch LS
+        theta = run_rls(prob, alpha_sq=1e10).theta
+        assert np.sqrt(np.sum((theta - batch.theta) ** 2)) <= \
+            1e-6 * np.sqrt(np.sum(batch.theta ** 2))
 
 
 def _reference_walk(losses, threshold, floor):
