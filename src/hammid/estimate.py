@@ -32,17 +32,18 @@ ALPHA_SQ_BRACKET = (1e5, 1e10)
 DEFAULT_ALPHA_SQ = 1e6
 _BATCH_RCOND = 1e-10  # singular values below this share of the largest count as zero
 # Rows of [H y] folded into an R factor at a time, and dtpqrt's inner block
-# size nb.  Building and folding the 19 982 x 161 scan bank of a 2e4-sample
-# record (2-core box, two BLAS threads, median of 7) took, in s:
+# size nb.  Building and folding the 19 982 x 190 structure bank of a
+# 2e4-sample two-input two-output record at the default search (2-core box,
+# two BLAS threads, median of 7) took, in s:
 #
 #   rows   nb 8   nb 16   nb 32   nb 64   tracemalloc peak
-#   1024   0.098  0.110   0.150   0.211    1.5 MiB
-#   2048   0.073  0.090   0.120   0.173    2.8 MiB
-#   4096   0.060  0.074   0.104   0.170    5.3 MiB
-#   8192   0.062  0.076   0.105   0.136   10.4 MiB
+#   1024   0.120  0.124   0.177   0.272    2.0 MiB
+#   2048   0.106  0.117   0.161   0.248    3.6 MiB
+#   4096   0.106  0.111   0.158   0.250    7.0 MiB
+#   8192   0.097  0.107   0.152   0.220   13.7 MiB
 #
-# against 0.121 s and 49.4 MiB for the whole bank and one numpy QR.  With
-# one BLAS thread every entry from 2048 rows up lay within 0.06-0.10 s.
+# against 0.177 s and 29.0 MiB for the whole bank and one scipy QR.  With
+# one BLAS thread every entry up to nb 32 lay within 0.10-0.14 s.
 _FOLD_ROWS = 4096
 _FOLD_NB = 8
 # Rows per block of the final fits: OpenBLAS threads dtpqrt's inner calls from
@@ -147,10 +148,9 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
 
     Every column is written straight into one Fortran-ordered array [H y]
     with y last, and ``H`` and ``y`` are views of it (``H.base``).  LAPACK
-    reads Fortran order, so a QR of [H y] takes that array as it is.  Rows
-    s .. e - 1 alone come from samples s - max_lag .. e - 1 of the data: the
-    structure bank builds [H y] that way, one block of rows at a time, and
-    :func:`fold_rows` folds each block into its R factor in place.
+    reads Fortran order, so a QR of [H y] takes that array as it is.  It
+    serves the final fit of the selected orders; the structure search scores
+    its candidates on a bank of its own (:mod:`hammid.structure`).
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(

@@ -152,13 +152,14 @@ def identify(data: Dataset, cfg: dict) -> Identification:
             bounds = structure.SearchBounds(
                 n_max=scfg["n_max"], m_max=scfg["m_max"], p_max=scfg["p_max"]
             )
+            bank = structure.fold_bank(train, cfg["delay"]["max_lag"], bounds)
             searches = []
             for s in range(train.n_outputs):
-                scan = structure.estimate_delays(train, s, cfg["delay"]["max_lag"])
+                scan = structure.estimate_delays(train, s, cfg["delay"]["max_lag"], bank=bank)
                 searches.append(structure.select_structure(
                     train, s, [est.delay for est in scan], bounds,
                     plateau_threshold=scfg["plateau_threshold"],
-                    convergence_floor=scfg["convergence_floor"],
+                    convergence_floor=scfg["convergence_floor"], bank=bank,
                 ))
             orders_list = [search.selected for search in searches]
         else:

@@ -10,17 +10,18 @@ smallest model whose J lies within a relative tolerance of the sweep's
 smallest J or at the data's numerical noise floor.  p takes the first
 degree at the floor or that the next degree no longer improves noticeably.
 
-Every candidate of the scan, and every candidate of the search, regresses
-one output over the same row window on a subset of one fixed bank of
-lagged-output and lagged-input-power columns.  The bank is compressed to
-the R factor of [H y] (QR data compression) once per output: [H y] is
-built a block of rows at a time and each block is folded into R, so the
-whole bank is never held.  The candidates of one sweep are nested: the
-scan's candidate at d spans the one at d + 1 plus input j's lag-d columns,
-and the p, n and m sweeps each add one group of columns per step.  So each
-sweep re-orders R's columns, new columns of each candidate after the
-previous candidate's and r_y last, and re-factors; every candidate's loss
-is then a tail sum of squares of the last column of that factor.  On exact
+Every candidate of the scan, and every candidate of the search, for every
+output, regresses one output over the same row window on a subset of one
+fixed bank of lagged-output and lagged-input-power columns.  The bank is
+compressed to its R factor (QR data compression) once per identify
+(:func:`fold_bank`): it is built a block of rows at a time and each block
+is folded into R, so the whole bank is never held.  The candidates of one
+sweep are nested: the scan's candidate at d spans the one at d + 1 plus
+input j's lag-d columns, and the p, n and m sweeps each add one group of
+columns per step.  So each sweep re-orders R's columns, new columns of each
+candidate after the previous candidate's and the output's own column last,
+and re-factors; every candidate's loss is then a tail sum of squares of the
+last column of that factor.  On exact
 data a column may lie in the span of the columns before it; the first such
 column is dropped and the factor re-computed, one column at a time, which
 changes no candidate's span and so no loss.  :func:`augment_columns` is the
@@ -42,14 +43,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimate import (
-    ChannelOrders,
-    RegressionProblem,
-    StructureOrders,
-    build_regressor,
-    fold_rows,
-)
+from .estimate import ChannelOrders, RegressionProblem, StructureOrders, fold_rows
 from .model import Dataset
 
 DEFAULT_PLATEAU_THRESHOLD = 0.02
@@ -114,13 +110,14 @@ def augment_columns(
     return theta_full, J_new
 
 
-def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
-    """Loss J of the regression on every column set of a nested sequence.
+def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.ndarray:
+    """Loss J of the regression of column ``target`` on every column set of a
+    nested sequence.
 
-    ``R`` is the R factor of [H y] over ``n_rows`` rows (r_y its last
-    column); each set in ``column_sets`` holds column indices of H and
-    contains the set before it.  R's columns are re-ordered so that each
-    set's new columns follow the previous set's, with r_y last, and
+    ``R`` is the R factor of a bank over ``n_rows`` rows; each set in
+    ``column_sets`` holds column indices of the bank other than ``target``
+    and contains the set before it.  R's columns are re-ordered so that each
+    set's new columns follow the previous set's, with r_target last, and
     re-factored into R'.  For the k columns of a set, the leading k x k
     block of R' is then the R factor of that regression, and its residual
     is the tail R'[k:, -1].
@@ -147,7 +144,7 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
     R_S = R[:, order]
     tol = np.finfo(float).eps * n_rows * np.sqrt(np.sum(R_S * R_S))
     while True:
-        Rn = scipy.linalg.qr(R[:, order + [R.shape[1] - 1]], mode="r", check_finite=False)[0]
+        Rn = scipy.linalg.qr(R[:, order + [target]], mode="r", check_finite=False)[0]
         diag = np.abs(np.diag(Rn))[:len(order)]
         dependent = np.flatnonzero(diag <= tol)
         i = dependent[0] if dependent.size else len(diag)
@@ -160,64 +157,67 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets) -> np.ndarray:
 
 
 class _CompressedBank:
-    """R factor of [H y] for one output's column bank at ``orders``.
+    """R factor of the one bank that holds every regression of the scan and
+    the search, for every output.
 
-    Rows run from S = ``orders.max_lag``, a lag no candidate inside the bank
-    exceeds.  For any subset of the bank's columns, ||y - H_S theta|| equals
-    ||r_y - R_S theta|| (r_y the last column of R), so every candidate
-    regression inside the bank is solved on R alone.
+    The bank is block-Hankel: the signals Z = [u_j^i for every input j and
+    power i <= ``p``, -y_s for every output s] at lags 0 .. ``max_lag``,
+    lag-major, over the rows from sample ``max_lag`` on.  Output s's
+    regressions take its -y_s column at lag 0 as target and a subset of the
+    other columns as regressors; ||z_t - Z_S theta|| equals
+    ||r_t - R_S theta||, so each is solved on R alone.
 
-    A series of N samples is too short for K regressors from row S unless
-    N - S > K: the one length rule of the delay scan and the search.
-    ``power``, the mean square of y over the bank's rows, scales both
-    stages' loss floors.
+    A series of N samples is too short for a bank of K columns from row L
+    unless N - L >= K: the one length rule of the delay scan and the search.
+    ``power``, the mean square of each output over the bank's rows, scales
+    both stages' loss floors.
 
-    [H y] is never whole: :func:`~hammid.estimate.build_regressor` writes
-    it a block of rows at a time, and :func:`~hammid.estimate.fold_rows`
-    folds each into R from zero, so one block and R are all the bank memory
-    alive.  The bank keeps each column's kind, lag, input and power as
-    vectors, and :meth:`columns` compares them with a candidate's orders.
+    Z is never whole: it is built a block of rows at a time, and
+    :func:`~hammid.estimate.fold_rows` folds each block into R from zero, so
+    one block and R are all the bank memory alive.  Column g + G l of the
+    bank, with G signals, is signal g at lag l (u_j^i is signal j p + i - 1
+    and -y_s signal ``y0`` + s): :meth:`columns` finds a candidate's columns
+    from its orders by that rule.
     """
 
-    def __init__(self, data: Dataset, orders: StructureOrders, output: int):
-        start = orders.max_lag
-        N = data.n_samples
-        k = orders.n_parameters
-        if N - start <= k:
-            raise ValueError(
-                f"series of length {N} too short for {k} regressors from row {start}"
-            )
-        self.n_rows = N - start
-        self.power = float(np.mean(data.outputs[start:, output] ** 2))
-        cmap = []
+    def __init__(self, data: Dataset, max_lag: int, p: int):
+        L, N, self.p, self.y0 = max_lag, data.n_samples, p, data.n_inputs * p
+        G = self.n_signals = self.y0 + data.n_outputs
+        k = G * (L + 1)
+        if N - L < k:
+            raise ValueError(f"series of length {N} too short for {k} bank columns from row {L}")
+        self.max_lag, self.n_rows = L, N - L
+        self.power = np.array([np.mean(y[L:] ** 2) for y in data.outputs.T])
 
         def rows(s, e):
-            # samples s .. start + e - 1 give exactly the bank's rows s .. e - 1;
-            # the block is the bank's own, so the fold may overwrite it
-            block = build_regressor(replace(data, inputs=data.inputs[s:start + e],
-                                            outputs=data.outputs[s:start + e]), orders, output)
-            cmap[:] = block.column_map
-            return block.H.base
+            # samples s .. L + e - 1 give exactly the bank's rows s .. e - 1
+            u, y = data.inputs[s:L + e], data.outputs[s:L + e]
+            Z = np.column_stack([u[:, j] ** i for j in range(data.n_inputs)
+                                 for i in range(1, p + 1)] + [-y])
+            block = np.empty((e - s, G, L + 1), order="F")
+            block[...] = sliding_window_view(Z, L + 1, axis=0)[:, :, ::-1]
+            return block.reshape(e - s, k, order="F")
 
-        self.R = fold_rows(np.zeros((k + 1, k + 1), order="F"), self.n_rows, rows)
-        self._output_lag = np.array([c.kind == "output_lag" for c in cmap])
-        self._lag = np.array([c.lag for c in cmap])
-        # output lags belong to no input; 0 only keeps them a valid index
-        self._input = np.array([c.input or 0 for c in cmap])
-        self._power = np.array([c.power or 0 for c in cmap])
+        self.R = fold_rows(np.zeros((k, k), order="F"), self.n_rows, rows)
 
-    def columns(self, orders: StructureOrders) -> list[int]:
-        """Indices of the bank columns that the regression at ``orders`` uses."""
-        lag = self._lag
-        p, d, m = np.array([(c.p, c.d, c.m) for c in orders.channels])[self._input].T
-        used = np.where(self._output_lag, lag <= orders.n,
-                        (self._power <= p) & (d <= lag) & (lag <= d + m))
-        return np.flatnonzero(used).tolist()
+    def columns(self, orders: StructureOrders, output: int) -> list[int]:
+        """Indices of the bank columns that output ``output``'s regression at
+        ``orders`` uses; a ValueError if the bank does not hold them all."""
+        G, p = self.n_signals, self.p
+        if (orders.max_lag > self.max_lag or max(c.p for c in orders.channels) > p
+                or len(orders.channels) * p != self.y0):
+            raise ValueError(f"bank of lags up to {self.max_lag} and powers up to {p} "
+                             f"does not cover {orders}")
+        cols = [self.y0 + output + G * lag for lag in range(1, orders.n + 1)]
+        cols += [j * p + i + G * lag for j, c in enumerate(orders.channels)
+                 for i in range(c.p) for lag in range(c.d, c.d + c.m + 1)]
+        return sorted(cols)
 
-    def losses(self, sweep) -> np.ndarray:
-        """J of each candidate in ``sweep``, a sequence of orders each of
-        which spans the bank columns of the one before it."""
-        return _nested_losses(self.R, self.n_rows, (self.columns(orders) for orders in sweep))
+    def losses(self, sweep, output: int) -> np.ndarray:
+        """J of output ``output`` at each candidate in ``sweep``, a sequence
+        of orders each of which spans the bank columns of the one before it."""
+        return _nested_losses(self.R, self.n_rows,
+                              [self.columns(orders, output) for orders in sweep], self.y0 + output)
 
 
 def _first_within(losses: np.ndarray, tol: float, floor: float) -> int:
@@ -274,7 +274,26 @@ def _cross_correlation_peak(u: np.ndarray, y: np.ndarray, max_lag: int) -> float
     return peak
 
 
-def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstimate]:
+def _check_max_lag(data: Dataset, max_lag: int) -> None:
+    if max_lag < 0 or max_lag >= data.n_samples // 4:
+        raise ValueError(f"max_lag must lie in [0, N/4), got {max_lag}")
+
+
+def fold_bank(data: Dataset, max_lag: int, bounds: SearchBounds | None = None) -> _CompressedBank:
+    """Fold the bank that holds every output's delay scan up to ``max_lag``
+    and, given ``bounds``, its structure search at delays up to ``max_lag``.
+
+    ``max_lag`` is checked first, so a bad value is named before the bank
+    is folded."""
+    _check_max_lag(data, max_lag)
+    lag, p = max(max_lag + _DELAY_PAD, _DELAY_N_FIT), _DELAY_P_FIT
+    if bounds is not None:
+        lag, p = max(lag, bounds.n_max, max_lag + bounds.m_max), max(p, bounds.p_max)
+    return _CompressedBank(data, lag, p)
+
+
+def estimate_delays(data: Dataset, output: int, max_lag: int, *,
+                    bank: _CompressedBank | None = None) -> list[DelayEstimate]:
     """Estimate the delay of every input of ``data`` against output ``output``.
 
     For each input, lagged-power blocks of all inputs plus lagged outputs
@@ -283,10 +302,11 @@ def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstim
     up to the true delay (those leading taps are genuinely zero) and jumps
     beyond it.  The estimate is the largest candidate whose loss lies within
     ``_DELAY_JUMP_TOL`` of the scan's smallest, or at the exact-fit floor.
-    ``max_lag`` must lie in [0, N/4), and no series may be constant.
+    ``max_lag`` must lie in [0, N/4), and no series may be constant.  The
+    candidates are scored on ``bank``, by default :func:`fold_bank` of
+    ``data`` at ``max_lag``.
     """
-    if max_lag < 0 or max_lag >= data.n_samples // 4:
-        raise ValueError(f"max_lag must lie in [0, N/4), got {max_lag}")
+    _check_max_lag(data, max_lag)
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
     y = data.outputs[:, output]
@@ -295,10 +315,10 @@ def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstim
     for j, name in enumerate(data.input_names):
         if np.ptp(data.inputs[:, j]) == 0:
             raise ValueError(f"constant input series {name!r}")
+    bank = bank or fold_bank(data, max_lag)
     span = max_lag + _DELAY_PAD
     full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * data.n_inputs)
-    bank = _CompressedBank(data, full, output)
-    floor = _EXACT_FIT_FLOOR * bank.power
+    floor = _EXACT_FIT_FLOOR * bank.power[output]
     results = []
     for j in range(data.n_inputs):
         # from d = max_lag down, each candidate adds input j's lag-d columns
@@ -307,7 +327,7 @@ def estimate_delays(data: Dataset, output: int, max_lag: int) -> list[DelayEstim
             channels = list(full.channels)
             channels[j] = replace(channels[j], d=d, m=span - d)
             sweep.append(replace(full, channels=channels))
-        losses = bank.losses(sweep)
+        losses = bank.losses(sweep, output)
         peak = _cross_correlation_peak(data.inputs[:, j], y, max_lag)
         results.append(
             DelayEstimate(
@@ -364,6 +384,8 @@ def select_structure(
     bounds: SearchBounds,
     plateau_threshold: float = DEFAULT_PLATEAU_THRESHOLD,
     convergence_floor: float = DEFAULT_CONVERGENCE_FLOOR,
+    *,
+    bank: _CompressedBank | None = None,
 ) -> StructureSearchResult:
     """Choose (n, m, p) for one output by order sweeps.
 
@@ -377,7 +399,8 @@ def select_structure(
     rule for noise-free data, where J keeps shrinking by large factors all
     the way down to round-off.  n and m are the smallest orders whose J lies
     within the plateau threshold (relative) of the sweep's smallest J, or
-    below the floor.  Both thresholds must be >= 0.
+    below the floor.  Both thresholds must be >= 0.  The candidates are
+    scored on ``bank``, by default one folded at the bounds' orders.
     """
     for name, value in (("plateau_threshold", plateau_threshold),
                         ("convergence_floor", convergence_floor)):
@@ -386,15 +409,17 @@ def select_structure(
     delays = [int(d) for d in delays]
     if len(delays) != data.n_inputs:
         raise ValueError(f"need one delay per input, got {len(delays)}")
-    full = _uniform_orders(bounds.n_max, bounds.m_max, bounds.p_max, delays)
-    bank = _CompressedBank(data, full, output)
-    floor = convergence_floor * bank.power
+    if not 0 <= output < data.n_outputs:
+        raise ValueError(f"output index {output} out of range")
+    bank = bank or _CompressedBank(data, max(bounds.n_max, max(delays) + bounds.m_max),
+                                   bounds.p_max)
+    floor = convergence_floor * bank.power[output]
     candidates: list[Candidate] = []
 
     def swept(stage, values, rule, orders_at):
         """Score every order value; return the one ``rule`` picks from the losses."""
         sweep = [orders_at(value) for value in values]
-        losses = bank.losses(sweep)
+        losses = bank.losses(sweep, output)
         candidates.extend(Candidate(stage, o, J) for o, J in zip(sweep, losses.tolist()))
         return values[rule(losses, plateau_threshold, floor)]
 

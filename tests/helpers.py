@@ -116,3 +116,37 @@ def expected_preset_theta(output: int) -> np.ndarray:
         for r in r_full:
             theta.extend(r * bl for bl in b)
     return np.array(theta)
+
+
+def noisy_preset_dataset(seeds, noise_seed: int, n_samples: int = 1070) -> Dataset:
+    """The preset's response to the default excitation at ``seeds`` with 1%
+    Gaussian noise and +-5 x RMS spikes on 0.5% of the samples of each output,
+    drawn from ``noise_seed``.  Every operating point is declared 0, as for a
+    record whose inputs and outputs are already at deviation scale."""
+    data = preset_oracle_dataset(n_samples=n_samples, seeds=seeds)
+    rng = np.random.default_rng(noise_seed)
+    rms = np.sqrt(np.mean(data.outputs**2, axis=0))
+    y = data.outputs + 0.01 * rms * rng.standard_normal(data.outputs.shape)
+    spikes = rng.random(y.shape) < 0.005
+    data.outputs = y + spikes * 5.0 * rms * rng.choice([-1.0, 1.0], size=y.shape)
+    data.operating_point = dict.fromkeys(data.input_names + data.output_names, 0.0)
+    return data
+
+
+def param_rel_error(model, reference) -> float:
+    """||theta - theta_ref|| / ||theta_ref|| over every output's a and every
+    channel's r and delayed numerator [0]*d + b, each zero-padded to the
+    longer of the two models."""
+    def parts(m):
+        for row in m.channels:
+            yield row[0].dynamics.a
+            for ch in row:
+                yield ch.nonlinearity.coeffs
+                yield (0.0,) * ch.dynamics.d + tuple(ch.dynamics.b)
+
+    est, ref = [], []
+    for a, b in zip(parts(model), parts(reference)):
+        width = max(len(a), len(b))
+        est += list(a) + [0.0] * (width - len(a))
+        ref += list(b) + [0.0] * (width - len(b))
+    return float(np.linalg.norm(np.subtract(est, ref)) / np.linalg.norm(ref))

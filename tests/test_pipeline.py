@@ -34,11 +34,12 @@ def test_identify_matches_cli_model_file(tmp_path):
     assert (tmp_path / "library.json").read_bytes() == (tmp_path / "out" / "model.json").read_bytes()
 
 
-@pytest.mark.parametrize("method", ["batch", "rls"])
-def test_layers_called_through_module_attributes(monkeypatch, method):
-    # wrappers installed on module attributes (as a tracer does) must see every call
+def _count_layer_calls(monkeypatch):
+    """Wrap every layer at its module attribute, as a tracer does; the
+    returned dict maps each layer to the (args, kwargs, result) of its calls."""
     layers = [
         (preprocess, "prepare_dataset"),
+        (structure, "fold_bank"),
         (structure, "estimate_delays"),
         (structure, "select_structure"),
         (estimate, "build_regressor"),
@@ -52,15 +53,37 @@ def test_layers_called_through_module_attributes(monkeypatch, method):
         original = getattr(module, attr)
 
         def counted(*args, _name=attr, _original=original, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            calls.setdefault(_name, []).append((args, kwargs, result))
+            return result
 
         monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["batch", "rls"])
+def test_layers_called_through_module_attributes(monkeypatch, method):
+    # wrappers installed on module attributes (as a tracer does) must see every call
+    calls = _count_layer_calls(monkeypatch)
     cfg = load_config(None) | {"n_train": 350, "estimator": {"method": method, "alpha_sq": 1e6}}
     identify(_oracle(400), cfg)
     solver = "run_rls" if method == "rls" else "batch_ls"
-    assert calls == {"prepare_dataset": 1, "estimate_delays": 2, "select_structure": 2,
-                     "build_regressor": 2, solver: 2, "separate_parameters": 2, "evaluate": 1}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "prepare_dataset": 1, "fold_bank": 1, "estimate_delays": 2, "select_structure": 2,
+        "build_regressor": 2, solver: 2, "separate_parameters": 2, "evaluate": 1}
+    # the training rows are folded once: every scan and search scores on that bank
+    (_, _, bank), = calls["fold_bank"]
+    for name in ("estimate_delays", "select_structure"):
+        assert all(kwargs["bank"] is bank for _, kwargs, _ in calls[name])
+
+
+def test_fixed_orders_fold_no_bank(monkeypatch):
+    calls = _count_layer_calls(monkeypatch)
+    orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
+    identify(_oracle(400), load_config(None) | {"n_train": 350, "fixed_orders": orders})
+    assert {name: len(c) for name, c in calls.items()} == {
+        "prepare_dataset": 1, "build_regressor": 2, "batch_ls": 2, "separate_parameters": 2,
+        "evaluate": 1}
 
 
 def test_unknown_method_rejected_before_any_work(monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hammid import (
     simulate_channel,
 )
 from hammid.estimate import _FOLD_ROWS, RegressionProblem
+from hammid.excitation import AmplitudeGrid, generate_excitation
 from hammid.structure import (
     _DELAY_JUMP_TOL,
     _EXACT_FIT_FLOOR,
@@ -33,6 +35,7 @@ from hammid.structure import (
     _first_plateau,
     _first_within,
     _nested_losses,
+    fold_bank,
 )
 
 from helpers import default_excitation, preset_oracle_dataset, recursion_oracle
@@ -186,17 +189,19 @@ def _nested_banks(draw):
     y = H @ rng.normal(size=n_cols) + noise * rng.normal(size=rows)
     order = rng.permutation(n_cols)
     cuts = sorted(draw(st.sets(st.integers(0, n_cols), min_size=1, max_size=6)))
-    return H, y, kind, [order[:k] for k in cuts]
+    return H, y, kind, [order[:k] for k in cuts], draw(st.integers(0, n_cols))
 
 
 class TestNestedLosses:
     @given(_nested_banks())
     def test_every_prefix_matches_direct_solve(self, bank):
-        H, y, kind, sets = bank
+        # y sits at column ``target`` of the bank, among the columns of H
+        H, y, kind, sets, target = bank
         rows = len(y)
         eps = np.finfo(float).eps
-        R = np.linalg.qr(np.column_stack([H, y]), mode="r")
-        got = _nested_losses(R, rows, sets)
+        R = np.linalg.qr(np.insert(H, target, y, axis=1), mode="r")
+        got = _nested_losses(R, rows, [[c + (c >= target) for c in cols] for cols in sets],
+                             target)
         floor = _EXACT_FIT_FLOOR * float(np.mean(y**2))
         for J, cols in zip(got, sets):
             A = H[:, cols]
@@ -218,16 +223,28 @@ class TestNestedLosses:
     def test_sets_must_be_nested(self):
         R = np.triu(np.ones((4, 4)))
         with pytest.raises(ValueError, match="not nested"):
-            _nested_losses(R, 10, [[0, 1], [1, 2]])
+            _nested_losses(R, 10, [[0, 1], [1, 2]], 3)
 
 
-def _reference_spans(orders, col):
-    """Whether the regression at ``orders`` uses bank column ``col``, one
-    column at a time."""
-    if col.kind == "output_lag":
-        return col.lag <= orders.n
-    ch = orders.channels[col.input]
-    return col.power <= ch.p and ch.d <= col.lag <= ch.d + ch.m
+def _reference_bank(data, max_lag, p):
+    """The bank built one column at a time: signal g at lag l is column
+    g + G l, the signals being u_j^i for every input j and power i <= p,
+    then -y_s for every output s."""
+    N = data.n_samples
+    signals = ([data.inputs[:, j] ** i for j in range(data.n_inputs) for i in range(1, p + 1)]
+               + [-data.outputs[:, s] for s in range(data.n_outputs)])
+    return np.column_stack([z[max_lag - lag:N - lag] for lag in range(max_lag + 1)
+                            for z in signals])
+
+
+def _reference_spans(orders, output, bank, col):
+    """Whether output ``output``'s regression at ``orders`` uses bank column
+    ``col``, one column at a time."""
+    lag, g = divmod(col, bank.n_signals)
+    if g >= bank.y0:
+        return g - bank.y0 == output and 1 <= lag <= orders.n
+    ch = orders.channels[g // bank.p]
+    return g % bank.p + 1 <= ch.p and ch.d <= lag <= ch.d + ch.m
 
 
 def _reference_regressor(data, orders, output, start):
@@ -243,33 +260,47 @@ def _reference_regressor(data, orders, output, start):
     return np.column_stack(cols), y[start:N].copy()
 
 
+def _assert_picks_the_reference_regression(bank, Z, data, orders, output):
+    """``bank.columns`` and the target column hold the reference [H y] of
+    ``output`` at ``orders`` bitwise (y negated), and R'R restricted to them
+    is its Gram."""
+    H, y = _reference_regressor(data, orders, output, bank.max_lag)
+    index = {Z[:, c].tobytes(): c for c in range(Z.shape[1])}
+    cols = [index[H[:, i].tobytes()] for i in range(H.shape[1])]
+    assert sorted(cols) == bank.columns(orders, output)
+    assert index[(-y).tobytes()] == bank.y0 + output
+    A = np.column_stack([H, -y])
+    F = bank.R[:, cols + [bank.y0 + output]]
+    norms = np.linalg.norm(A, axis=0)
+    assert np.all(np.abs(F.T @ F - A.T @ A) <= 1e-13 * np.outer(norms, norms))
+
+
 @st.composite
 def _bank_and_orders(draw):
-    """Bank orders, a sequence of orders in and around the bank, and data to build it on."""
-    n_inputs = draw(st.integers(1, 3))
-    n = draw(st.integers(0, 4))
-    channels = [ChannelOrders(p=draw(st.integers(1, 3)), m=draw(st.integers(0, 4)),
-                              d=draw(st.integers(0, 4))) for _ in range(n_inputs)]
-    bank = StructureOrders(n=n, channels=channels)
+    """A bank's lags and powers, data to build it on, and a sequence of
+    orders in and around the bank."""
+    n_inputs, n_outputs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    max_lag, p = draw(st.integers(0, 5)), draw(st.integers(1, 3))
     sub = st.builds(
         StructureOrders,
-        n=st.integers(0, n + 1),
+        n=st.integers(0, max_lag + 1),
         channels=st.tuples(*(
-            st.builds(ChannelOrders, p=st.integers(1, ch.p + 1),
-                      m=st.integers(0, ch.m + 1), d=st.integers(0, ch.d + ch.m + 1))
-            for ch in channels
+            st.builds(ChannelOrders, p=st.integers(1, p + 1),
+                      m=st.integers(0, max_lag), d=st.integers(0, max_lag))
+            for _ in range(n_inputs)
         )),
     )
     sweep = draw(st.lists(sub, min_size=1, max_size=5))
-    rows = bank.max_lag + bank.n_parameters + draw(st.integers(1, 20))
+    rows = max_lag + (n_inputs * p + n_outputs) * (max_lag + 1) + draw(st.integers(0, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=rows),
-                   tuple(f"u{j}" for j in range(n_inputs)), ("y",))
-    return data, bank, sweep
+    data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=(rows, n_outputs)),
+                   tuple(f"u{j}" for j in range(n_inputs)),
+                   tuple(f"y{s}" for s in range(n_outputs)))
+    return data, max_lag, p, sweep
 
 
-# the delay-scan bank at max_lag 10 (start 18) and the search banks at
-# SearchBounds(6, 6, 4) and the preset's delays (starts 7 and 9)
+# the scan at max_lag 10 and the searches at SearchBounds(6, 6, 4) and the
+# preset's delays, with the first row of a bank of their own (18, 7 and 9)
 _SCAN_BANK = (StructureOrders(8, [ChannelOrders(4, 18, 0)] * 2), 18)
 _SEARCH_BANKS = [
     (StructureOrders(6, [ChannelOrders(4, 6, 1)] * 2), 7),
@@ -277,52 +308,101 @@ _SEARCH_BANKS = [
 ]
 
 
+def _tail(data, skip):
+    """``data`` without its first ``skip`` samples."""
+    return replace(data, inputs=data.inputs[skip:], outputs=data.outputs[skip:])
+
+
+def _channels_dataset(rows, n_samples=1070, noise=0.01, seed=5):
+    """Each output the sum of its row's channels (r, b, d, a), one per input,
+    on independent excitation, plus Gaussian noise of ``noise`` times its RMS."""
+    U = np.column_stack([generate_excitation(AmplitudeGrid(-1.0, 1.0, 0.25), n_samples,
+                                             seed=seed + j) for j in range(len(rows[0]))])
+    Y = np.column_stack([sum(recursion_oracle(*ch, U[:, j]) for j, ch in enumerate(row))
+                         for row in rows])
+    Y += noise * np.sqrt(np.mean(Y**2, axis=0)) * np.random.default_rng(seed).normal(size=Y.shape)
+    return Dataset(1.0, U, Y, tuple(f"u{j}" for j in range(U.shape[1])),
+                   tuple(f"y{s}" for s in range(Y.shape[1])))
+
+
+_A = [-0.9, 0.2]
+# dataset, max_lag, bounds and the true delays of every output: every delay
+# differs across the inputs, or across the outputs, so that a mix-up of input
+# or output columns in the bank shows
+_SHAPES = {
+    "preset-2x2": (lambda: preset_oracle_dataset(n_samples=1070, noise_std=0.01), 10,
+                   SearchBounds(6, 6, 4), [[1, 1], [3, 3]]),
+    "1-input-3-outputs": (lambda: _channels_dataset([
+        [([0.2], [1.0, 0.5], 1, _A)],
+        [([-0.3], [0.8, -0.4], 3, [-0.5])],
+        [([0.1, 0.05], [0.6, 0.3, 0.1], 0, [-1.2, 0.5])],
+    ]), 4, SearchBounds(4, 10, 3), [[1], [3], [0]]),
+    "3-inputs-1-output": (lambda: _channels_dataset([[
+        ([0.2], [1.0, 0.5], 0, _A), ([-0.3], [0.8, -0.4], 2, _A), ([0.1], [0.6, 0.3], 4, _A),
+    ]]), 4, SearchBounds(4, 10, 3), [[0, 2, 4]]),
+}
+
+
 class TestCompressedBank:
     @given(_bank_and_orders())
     def test_columns_follow_the_per_column_rule(self, case):
-        data, orders, sweep = case
-        bank = _CompressedBank(data, orders, 0)
-        column_map = build_regressor(data, orders, 0).column_map
-        for sub in sweep:
-            want = [i for i, c in enumerate(column_map) if _reference_spans(sub, c)]
-            assert bank.columns(sub) == want
+        data, max_lag, p, sweep = case
+        bank = _CompressedBank(data, max_lag, p)
+        Z = _reference_bank(data, max_lag, p)
+        for sub, s in ((sub, s) for sub in sweep for s in range(data.n_outputs)):
+            if sub.max_lag > max_lag or max(c.p for c in sub.channels) > p:
+                # a bank never drops a column the orders ask for
+                with pytest.raises(ValueError, match=f"^bank of lags up to {max_lag} and "
+                                                     f"powers up to {p} does not cover "):
+                    bank.columns(sub, s)
+                continue
+            want = [c for c in range(Z.shape[1]) if _reference_spans(sub, s, bank, c)]
+            assert bank.columns(sub, s) == want
+            _assert_picks_the_reference_regression(bank, Z, data, sub, s)
 
     @pytest.mark.parametrize("n_samples, noise_std", [(1070, 0.01), (20_000, 0.0)])
     def test_layout_is_bitwise_the_column_stack_one(self, n_samples, noise_std):
         data = preset_oracle_dataset(n_samples=n_samples, noise_std=noise_std)
         for s, (orders, start) in [(0, _SCAN_BANK), (1, _SCAN_BANK), *enumerate(_SEARCH_BANKS)]:
+            # the final regression keeps its own [H y] layout
             prob = build_regressor(data, orders, s)
             H_ref, y_ref = _reference_regressor(data, orders, s, start)
             assert prob.H.tobytes() == H_ref.tobytes()
             assert prob.y.tobytes() == y_ref.tobytes()
             assert prob.H.flags.f_contiguous
             assert prob.H.base is prob.y.base
-            # the block fold fixes R only up to round-off and the signs of
-            # its rows, but R'R is [H y]'[H y]
-            A = np.column_stack([H_ref, y_ref])
-            R = _CompressedBank(data, orders, s).R
-            assert np.array_equal(R, np.triu(R))
-            norms = np.linalg.norm(A, axis=0)
-            assert np.all(np.abs(R.T @ R - A.T @ A) <= 1e-13 * np.outer(norms, norms))
+        # one bank of 2 inputs x 4 powers and 2 outputs at lags 0..18
+        bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
+        assert (bank.max_lag, bank.p, bank.R.shape) == (18, 4, (190, 190))
+        Z = _reference_bank(data, 18, 4)
+        # the block fold fixes R only up to round-off and the signs of its
+        # rows, but R'R is Z'Z
+        R = bank.R
+        assert np.array_equal(R, np.triu(R))
+        norms = np.linalg.norm(Z, axis=0)
+        assert np.all(np.abs(R.T @ R - Z.T @ Z) <= 1e-13 * np.outer(norms, norms))
+        for s, (orders, _) in [(0, _SCAN_BANK), (1, _SCAN_BANK), *enumerate(_SEARCH_BANKS)]:
+            _assert_picks_the_reference_regression(bank, Z, data, orders, s)
 
     def test_at_most_one_block_held(self):
         data = preset_oracle_dataset(n_samples=20_000)
-        orders, start = _SCAN_BANK
-        block_bytes = _FOLD_ROWS * (orders.n_parameters + 1) * 8
-        # 19 982 rows: four full blocks and one of 3 598 rows
-        assert 4 * _FOLD_ROWS < data.n_samples - start < 5 * _FOLD_ROWS
+        block_bytes = _FOLD_ROWS * 190 * 8
+        # 19 982 rows from row 18: four full blocks and one of 3 598 rows
+        assert 4 * _FOLD_ROWS < data.n_samples - 18 < 5 * _FOLD_ROWS
         tracemalloc.start()
         try:
-            _CompressedBank(data, orders, 0)
+            bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one [H y] block, its finiteness mask, R and dtpqrt's small T are
-        # alive at a time; a peak below one block would mean tracemalloc
-        # missed the block
+        assert bank.R.shape == (190, 190)
+        # one block of the bank is alive at a time, with the 10 signals it is
+        # cut from (a 19th of it), its finiteness mask (an 8th), R (190^2
+        # doubles, a 14th) and dtpqrt's small T; a peak below one block would
+        # mean tracemalloc missed the block
         assert block_bytes <= peak <= 1.5 * block_bytes
 
-    # Rows of the scan bank at max_lag 10 are N - 18 and of the search
+    # The scan's own bank at max_lag 10 has N - 18 rows and the search's own
     # banks N - 7 and N - 9, so each case folds the banks in other blocks.
     @pytest.mark.parametrize("block_rows, n_samples", [
         (200, 1019),  # scan: 1001 rows = 5 x 200 + a last block of one row
@@ -347,21 +427,57 @@ class TestCompressedBank:
             power = float(np.mean(y[start:] ** 2))
             _assert_losses_close([c.loss for c in result.candidates], direct, power)
 
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_shared_bank_answers_as_banks_of_their_own(self, shape):
+        make, max_lag, bounds, true_delays = _SHAPES[shape]
+        data = make()
+        bank = fold_bank(data, max_lag, bounds)
+        for s, delays in enumerate(true_delays):
+            power = float(np.mean(data.outputs[bank.max_lag:, s] ** 2))
+            # a scan's own bank starts at row max_lag + 8; without the samples
+            # before the shared bank's first row, it regresses the same rows
+            tail = _tail(data, bank.max_lag - (max_lag + 8))
+            shared = estimate_delays(data, s, max_lag, bank=bank)
+            own = estimate_delays(tail, s, max_lag)
+            want, profiles = _reference_delay_scan(tail.inputs, tail.outputs[:, s], max_lag)
+            assert [e.delay for e in shared] == [e.delay for e in own] == want == delays
+            for a, b, losses in zip(shared, own, profiles):
+                _assert_losses_close(a.losses, b.losses, power)
+                _assert_losses_close(a.losses, losses, power)
+            # a search's own bank starts at row max(n_max, max(d) + m_max)
+            tail = _tail(data, bank.max_lag - max(bounds.n_max, max(delays) + bounds.m_max))
+            shared = select_structure(data, s, delays, bounds, bank=bank)
+            own = select_structure(tail, s, delays, bounds)
+            assert shared.selected == own.selected
+            assert [c.orders for c in shared.candidates] == [c.orders for c in own.candidates]
+            _assert_losses_close([c.loss for c in shared.candidates],
+                                 [c.loss for c in own.candidates], power)
+
+    def test_bank_that_misses_a_lag_or_power_is_refused(self):
+        data = preset_oracle_dataset(n_samples=1070)
+        with pytest.raises(ValueError, match="^bank of lags up to 13 and powers up to 4 "
+                                             "does not cover "):
+            estimate_delays(data, 0, 10, bank=fold_bank(data, 5))
+        for bounds in (SearchBounds(6, 6, 5), SearchBounds(6, 20, 4)):
+            with pytest.raises(ValueError, match="^bank of lags up to 18 and powers up to 4 "
+                                                 "does not cover "):
+                select_structure(data, 0, [1, 1], bounds, bank=fold_bank(data, 10))
+
     def test_needs_more_rows_than_regressors(self):
-        # 6 output lags and 2 inputs x 4 powers x 7 lags: 62 regressors from row 7
-        orders, start = _SEARCH_BANKS[0]
-        data = preset_oracle_dataset(n_samples=start + orders.n_parameters + 1)
-        assert _CompressedBank(data, orders, 0).n_rows == orders.n_parameters + 1
-        short = preset_oracle_dataset(n_samples=start + orders.n_parameters)
-        with pytest.raises(ValueError, match="^series of length 69 too short for 62 regressors "
-                                             "from row 7$"):
-            _CompressedBank(short, orders, 0)
+        # 2 inputs x 4 powers and 2 outputs at lags 0..18: 190 columns from row 18
+        bounds = SearchBounds(6, 6, 4)
+        data = preset_oracle_dataset(n_samples=18 + 190)
+        assert fold_bank(data, 10, bounds).n_rows == 190
+        short = preset_oracle_dataset(n_samples=18 + 189)
+        with pytest.raises(ValueError, match="^series of length 207 too short for 190 bank "
+                                             "columns from row 18$"):
+            fold_bank(short, 10, bounds)
 
     def test_power_is_the_mean_square_of_y(self):
         data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
-        orders, start = _SCAN_BANK
-        bank = _CompressedBank(data, orders, 1)
-        assert bank.power == float(np.mean(data.outputs[start:, 1] ** 2))
+        bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
+        assert bank.power.tolist() == [float(np.mean(data.outputs[18:, s] ** 2))
+                                       for s in range(data.n_outputs)]
 
 
 class TestDelayEstimation:
@@ -468,13 +584,14 @@ class TestDelayEstimation:
 
     def test_scan_and_search_share_one_too_short_rule(self):
         data = preset_oracle_dataset(n_samples=60)
-        # scan at max_lag 10: 8 output lags and 2 inputs x 4 powers x 19 lags
-        with pytest.raises(ValueError, match="^series of length 60 too short for 160 regressors "
-                                             "from row 18$"):
+        # the scan's own bank at max_lag 10: 2 inputs x 4 powers and 2 outputs
+        # at lags 0..18
+        with pytest.raises(ValueError, match="^series of length 60 too short for 190 bank "
+                                             "columns from row 18$"):
             estimate_delays(data, 0, max_lag=10)
-        # search at SearchBounds(6, 6, 4) and delays 1, 1
-        with pytest.raises(ValueError, match="^series of length 60 too short for 62 regressors "
-                                             "from row 7$"):
+        # the search's own bank at SearchBounds(6, 6, 4) and delays 1, 1: lags 0..7
+        with pytest.raises(ValueError, match="^series of length 60 too short for 80 bank "
+                                             "columns from row 7$"):
             select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4))
 
 
