@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,20 @@ def simulate_linear(dyn: LinearDynamics, v) -> np.ndarray:
 
     Implements y(k) = -sum_i a_i y(k-i) + sum_j b_j v(k-d-j), with y and v
     taken as zero for negative indices.  Output length equals input length.
+    The delayed numerator is a convolution, x = (q^-d B) * v cut to the
+    input's length; the denominator is then one forward substitution of the
+    banded lower-triangular Toeplitz system A y = x (BLAS ``dtbsv``, whose
+    n + 1 band rows hold 1, a_1 .. a_n), O(nN).
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("input series is empty")
-    num = (0.0,) * dyn.d + dyn.b
-    den = (1.0,) + dyn.a
-    return lfilter(num, den, v)
+    x = np.convolve(v, (0.0,) * dyn.d + dyn.b)[: v.size]
+    if not dyn.a:
+        return x
+    band = np.empty((dyn.n + 1, v.size), order="F")
+    band[:] = np.array((1.0,) + dyn.a)[:, None]
+    return dtbsv(dyn.n, band, x, lower=1, overwrite_x=1)
 
 
 def simulate_channel(ch: HammersteinChannel, u) -> np.ndarray:

@@ -10,13 +10,19 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.ndimage import median_filter as _nd_median
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import Dataset
 
 
 def median_filter(x, window: int) -> np.ndarray:
-    """Sliding median with boundary samples replicated at the edges."""
+    """Sliding median with boundary samples replicated at the edges.
+
+    The series is padded by window // 2 copies of its first and last
+    samples, and each output is the middle element of one window of the
+    padded series once partitioned.  The window is odd, so every median is
+    an element of its window.
+    """
     x = np.asarray(x, dtype=float)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
@@ -24,7 +30,9 @@ def median_filter(x, window: int) -> np.ndarray:
         raise ValueError(f"window {window} exceeds series length {x.size}")
     if window == 1:
         return x.copy()
-    return _nd_median(x, size=window, mode="nearest")
+    half = window // 2
+    windows = sliding_window_view(np.pad(x, half, mode="edge"), window)
+    return np.partition(windows, half, axis=-1)[:, half]
 
 
 def remove_dc(x, reference: float | None = None) -> tuple[np.ndarray, float]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import (
     Dataset,
@@ -76,14 +75,16 @@ def _one_step_prediction(model: MimoHammersteinModel, data: Dataset) -> np.ndarr
     """Predict each sample from measured past outputs and the inputs.
 
     Both terms are FIR filters, of f(u_j) by the delayed numerators and of
-    the measured y by a_1..a_n, with zero history before the first sample.
+    the measured y by a_1..a_n, with zero history before the first sample:
+    each is a convolution cut to the series' length.
     """
-    pred = np.zeros((data.n_samples, model.n_outputs))
+    N = data.n_samples
+    pred = np.zeros((N, model.n_outputs))
     for s, row in enumerate(model.channels):
         for j, ch in enumerate(row):
             v = eval_nonlinearity(ch.nonlinearity, data.inputs[:, j])
-            pred[:, s] += lfilter(np.concatenate([np.zeros(ch.dynamics.d), ch.dynamics.b]), 1.0, v)
-        pred[:, s] -= lfilter(np.concatenate([[0.0], row[0].dynamics.a]), 1.0, data.outputs[:, s])
+            pred[:, s] += np.convolve(v, (0.0,) * ch.dynamics.d + ch.dynamics.b)[:N]
+        pred[:, s] -= np.convolve(data.outputs[:, s], (0.0,) + row[0].dynamics.a)[:N]
     return pred
 
 

@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from hammid import (
     Dataset,
@@ -113,6 +116,34 @@ class TestChannelSimulation:
         np.testing.assert_allclose(
             simulate_channel(ch, u), recursion_oracle(r, b, d, a, u), atol=1e-12
         )
+
+    @given(n=st.integers(0, 6), m=st.integers(0, 6), d=st.integers(0, 3),
+           N=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_lfilter_on_stable_filters(self, n, m, d, N, seed):
+        rng = np.random.default_rng(seed)
+        # poles of radius below 0.95: conjugate pairs, and one real pole for odd n
+        radius, angle = rng.uniform(0.0, 0.95, size=n), rng.uniform(0.0, np.pi, size=n)
+        poles = [radius[i] * np.exp(sign * 1j * angle[i])
+                 for i in range(0, n - 1, 2) for sign in (1, -1)]
+        if n % 2:
+            poles.append(radius[-1] * np.sign(np.cos(angle[-1])))
+        a = np.real(np.poly(poles))[1:] if n else np.zeros(0)
+        dyn = LinearDynamics(a=tuple(a), b=tuple(rng.uniform(-1.0, 1.0, size=m + 1)), d=d)
+        v = rng.normal(size=N)
+        y = simulate_linear(dyn, v)
+        ref = lfilter((0.0,) * d + dyn.b, (1.0,) + dyn.a, v)
+        assert y.shape == (N,)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_lfilter_on_preset_channels_at_1e5_samples(self):
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=100_000)
+        for row in gtaw_pool_model().channels:
+            for ch in row:
+                dyn = ch.dynamics
+                y = simulate_linear(dyn, v)
+                ref = lfilter((0.0,) * dyn.d + dyn.b, (1.0,) + dyn.a, v)
+                assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_empty_input_rejected(self):
         ch = HammersteinChannel(StaticNonlinearity(), LinearDynamics((), (1.0,), 0))

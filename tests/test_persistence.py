@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,12 +108,41 @@ def _write_golden_trace(tmp_path):
         "index,W_b,H_f\n"
         "0,0.0,0.0\n"
         "1,0.014887766560000001,0.0\n"
-        "2,0.012411486495156802,0.0\n"
+        "2,0.0124114864951568,0.0\n"
     ), id="simulated-trace"),
 ])
 def test_golden_file_text(tmp_path, write, text):
     """Pins the exact bytes of every text data file the package writes."""
     assert write(tmp_path).read_bytes() == text.encode()
+
+
+def test_golden_trace_within_two_ulp_of_the_exact_recursion(tmp_path):
+    """The golden trace's samples, against the difference equation run in
+    exact rationals on the preset's stored floats and the written inputs.
+
+    Each sample must lie within 2 ulp of its exact value.  Sample 1 is one
+    float above the correctly rounded value; sample 2 is the correctly
+    rounded value."""
+    path = _write_golden_trace(tmp_path)
+    model = load_model(tmp_path / "m.json")
+    inputs = {"I_p": (152.0, 148.0, 150.0), "V_f": (8.0, 7.0, 6.0)}
+    written = [line.split(",")[1:] for line in path.read_text().splitlines()[2:]]
+    for s, row in enumerate(model.channels):
+        a = [Fraction(x) for x in row[0].dynamics.a]
+        x = [Fraction(0)] * 3
+        for ch, name in zip(row, model.input_names):
+            u = [Fraction(w) - Fraction(model.operating_point[name]) for w in inputs[name]]
+            v = [uk + sum(Fraction(r) * uk**i for i, r in enumerate(ch.nonlinearity.coeffs, 2))
+                 for uk in u]
+            for k in range(3):
+                x[k] += sum(Fraction(bl) * v[k - ch.dynamics.d - l]
+                            for l, bl in enumerate(ch.dynamics.b) if k - ch.dynamics.d - l >= 0)
+        y = []
+        for k in range(3):
+            y.append(x[k] - sum(ai * y[k - i] for i, ai in enumerate(a, 1) if k - i >= 0))
+        for k, exact in enumerate(y):
+            got = float(written[k][s])
+            assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact))), (s, k)
 
 
 _ODD_HEAD = "# hammid dataset v1\n# sample_period: 1.0\n# inputs: u\n# outputs: y\nindex,u,y\n"

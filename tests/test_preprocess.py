@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter as ndimage_median_filter
 
 from hammid import Dataset
 from hammid.preprocess import (
@@ -39,6 +40,17 @@ class TestMedianFilter:
         lhs = median_filter(alpha * x + beta, 5)
         rhs = alpha * median_filter(x, 5) + beta
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 7, 9, 11])
+    def test_bitwise_equal_to_ndimage(self, window):
+        rng = np.random.default_rng(window)
+        # n = window: the window spans the whole series
+        for n in (window, window + 1, 40, 301):
+            # a few levels only, so most windows hold ties
+            for x in (rng.integers(-3, 4, size=n) * 0.5, rng.normal(size=n)):
+                np.testing.assert_array_equal(
+                    median_filter(x, window), ndimage_median_filter(x, size=window, mode="nearest")
+                )
 
     def test_invalid_windows(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from hammid import Dataset, evaluate, gtaw_pool_model, split_dataset
+from hammid import Dataset, eval_nonlinearity, evaluate, gtaw_pool_model, split_dataset
 from hammid.validate import (
     REPORTED_HOLDOUT_REFERENCE,
+    _one_step_prediction,
     format_trace,
     format_validation_report,
 )
@@ -128,6 +130,19 @@ class TestEvaluate:
                             acc += bl * (u + sum(ri * u**i for i, ri in enumerate(r, start=2)))
                 ref[k, s] = acc
         np.testing.assert_allclose(osa.predicted, ref, rtol=0, atol=1e-12)
+
+    def test_one_step_prediction_matches_lfilter(self):
+        rng = np.random.default_rng(64)
+        data = preset_oracle_dataset(n_samples=500, noise_std=0.1, rng=rng)
+        model = gtaw_pool_model()
+        ref = np.zeros((500, 2))
+        for s, row in enumerate(model.channels):
+            for j, ch in enumerate(row):
+                v = eval_nonlinearity(ch.nonlinearity, data.inputs[:, j])
+                ref[:, s] += lfilter((0.0,) * ch.dynamics.d + ch.dynamics.b, 1.0, v)
+            ref[:, s] -= lfilter((0.0,) + row[0].dynamics.a, 1.0, data.outputs[:, s])
+        pred = _one_step_prediction(model, data)
+        assert np.max(np.abs(pred - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_std_ddof(self):
         rng = np.random.default_rng(63)
