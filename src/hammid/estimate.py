@@ -108,7 +108,9 @@ class StructureOrders:
 
 @dataclass(frozen=True)
 class Column:
-    """Description of one regressor column."""
+    """Description of one regressor column: lagged output -y(k-lag), or
+    lagged input power u_input^power(k-lag) (input counted from 0).
+    :func:`regression_columns` lays them out for given orders."""
 
     kind: str  # "output_lag" or "input_power"
     lag: int
@@ -138,19 +140,46 @@ class RegressionProblem:
         return self.H.shape[1]
 
 
+def regression_signals(orders: StructureOrders) -> list[tuple[int | None, int | None, range]]:
+    """The signals of a regression at ``orders``, each with its lags, in
+    theta's order: -y at lags 1..n as (None, None, range(1, n + 1)), then
+    for each input j and each power i = 1..p_sj, u_j^i at lags d..d+m as
+    (j, i, range(d, d + m + 1)).
+
+    The one rule for which lagged signals a regression holds:
+    :func:`regression_columns` labels the columns it gives,
+    :func:`build_regressor` writes them, and the structure bank
+    (:mod:`hammid.structure`) picks them from its own, without building a
+    :class:`Column` for each of its many candidates.
+    """
+    return [(None, None, range(1, orders.n + 1))] + [
+        (j, power, range(ch.d, ch.d + ch.m + 1))
+        for j, ch in enumerate(orders.channels) for power in range(1, ch.p + 1)]
+
+
+def regression_columns(orders: StructureOrders) -> tuple[Column, ...]:
+    """``column_map`` of a regression at ``orders``: -y(k-1)..-y(k-n), then
+    u_j^i(k-d)..u_j^i(k-d-m) for each input j and power i = 1..p_sj, one
+    :class:`Column` per lag of each of its :func:`regression_signals`."""
+    return tuple(Column("output_lag", lag) if j is None else Column("input_power", lag, j, power)
+                 for j, power, lags in regression_signals(orders) for lag in lags)
+
+
 def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
     """Assemble the regression for one output of a deviation-scale dataset.
 
-    Column order: lagged outputs -y(k-1)..-y(k-n), then for each input j and
-    each power i = 1..p_sj the lagged powered inputs u_j^i(k-d)..u_j^i(k-d-m).
-    Rows run from the orders' largest lag, ``orders.max_lag``, to the end of
-    the data; powers are taken of the stored deviation values.
+    Its columns are the lagged :func:`regression_signals` of ``orders``,
+    and ``column_map`` is :func:`regression_columns` of them.  Rows run
+    from the orders' largest lag, ``orders.max_lag``, to the end of the
+    data; powers are taken of the stored deviation values, each power of
+    each input once.
 
     Every column is written straight into one Fortran-ordered array [H y]
     with y last, and ``H`` and ``y`` are views of it (``H.base``).  LAPACK
     reads Fortran order, so a QR of [H y] takes that array as it is.  It
-    serves the final fit of the selected orders; the structure search scores
-    its candidates on a bank of its own (:mod:`hammid.structure`).
+    serves the final fit of the selected orders; the delay scan and the
+    structure search score their candidates on the R factor of one bank
+    that holds these same columns (:mod:`hammid.structure`).
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -158,28 +187,20 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
         )
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
-    k0 = orders.max_lag
-    N = data.n_samples
+    k0, N = orders.max_lag, data.n_samples
     if N <= k0:
-        raise ValueError(
-            f"series of length {N} too short for orders needing lag {k0}"
-        )
+        raise ValueError(f"series of length {N} too short for orders needing lag {k0}")
     y = data.outputs[:, output]
-    Hy = np.empty((N - k0, orders.n_parameters + 1), order="F")
-    cmap: list[Column] = []
-    for i in range(1, orders.n + 1):
-        np.negative(y[k0 - i:N - i], out=Hy[:, len(cmap)])
-        cmap.append(Column("output_lag", lag=i))
-    for j, ch in enumerate(orders.channels):
-        u = data.inputs[:, j]
-        for power in range(1, ch.p + 1):
-            up = u**power
-            for l in range(ch.m + 1):
-                lag = ch.d + l
-                Hy[:, len(cmap)] = up[k0 - lag:N - lag]
-                cmap.append(Column("input_power", lag=lag, input=j, power=power))
+    cmap = regression_columns(orders)
+    Hy = np.empty((N - k0, len(cmap) + 1), order="F")
+    c = 0
+    for j, power, lags in regression_signals(orders):
+        z = -y if j is None else data.inputs[:, j] ** power
+        for lag in lags:
+            Hy[:, c] = z[k0 - lag:N - lag]
+            c += 1
     Hy[:, -1] = y[k0:N]
-    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=tuple(cmap))
+    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=cmap)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +392,10 @@ class SeparatedParameters:
 def separate_parameters(theta, orders: StructureOrders) -> SeparatedParameters:
     """Split estimated products r_i*b_l into per-channel factors.
 
-    The per-channel products form a p x (m+1) matrix M with M[i-1, l] =
-    r_i b_l; its best rank-one factorization (by singular decomposition),
-    scaled so r_1 = 1, gives the nonlinearity and numerator coefficients.
+    theta is laid out by :func:`regression_columns`.  The per-channel
+    products form a p x (m+1) matrix M with M[i-1, l] = r_i b_l; its best
+    rank-one factorization (by singular decomposition), scaled so r_1 = 1,
+    gives the nonlinearity and numerator coefficients.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (orders.n_parameters,):
@@ -382,11 +404,9 @@ def separate_parameters(theta, orders: StructureOrders) -> SeparatedParameters:
         )
     a = theta[: orders.n].copy()
     channels = []
-    offset = orders.n
-    for ch in orders.channels:
-        block = theta[offset:offset + ch.p * (ch.m + 1)]
-        offset += ch.p * (ch.m + 1)
-        M = block.reshape(ch.p, ch.m + 1)
+    cmap = regression_columns(orders)
+    for j, ch in enumerate(orders.channels):
+        M = theta[[c.input == j for c in cmap]].reshape(ch.p, ch.m + 1)
         scale = np.linalg.norm(M)
         if scale == 0:
             raise ValueError("channel parameter block is zero; factors indeterminate")

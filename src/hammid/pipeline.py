@@ -132,12 +132,15 @@ def identify(data: Dataset, cfg: dict) -> Identification:
     """preprocess -> split -> delays -> structure -> estimate -> separate -> validate.
 
     ``cfg`` is a resolved config (see :func:`load_config`).  Failures raise
-    :class:`StageError` labeled with the stage.
+    :class:`StageError` labeled with the stage.  A dataset without input or
+    without output series is refused before any work.
     """
     with stage("estimate"):
         method = cfg["estimator"]["method"]
         if method not in ("batch", "rls"):
             raise ValueError(f"unknown estimator method {method!r}")
+        if not data.n_inputs or not data.n_outputs:
+            raise ValueError(f"dataset has no {'output' if data.n_inputs else 'input'} series")
 
     with stage("preprocess"):
         deviations, offsets = preprocess.prepare_dataset(data, **cfg["preprocess"])

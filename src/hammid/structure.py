@@ -45,7 +45,8 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimate import ChannelOrders, RegressionProblem, StructureOrders, fold_rows
+from .estimate import (ChannelOrders, RegressionProblem, StructureOrders, fold_rows,
+                       regression_signals)
 from .model import Dataset
 
 DEFAULT_PLATEAU_THRESHOLD = 0.02
@@ -176,8 +177,8 @@ class _CompressedBank:
     :func:`~hammid.estimate.fold_rows` folds each block into R from zero, so
     one block and R are all the bank memory alive.  Column g + G l of the
     bank, with G signals, is signal g at lag l (u_j^i is signal j p + i - 1
-    and -y_s signal ``y0`` + s): :meth:`columns` finds a candidate's columns
-    from its orders by that rule.
+    and -y_s signal ``y0`` + s): :meth:`columns` puts a candidate's
+    :func:`~hammid.estimate.regression_signals` through that rule.
     """
 
     def __init__(self, data: Dataset, max_lag: int, p: int):
@@ -208,10 +209,8 @@ class _CompressedBank:
                 or len(orders.channels) * p != self.y0):
             raise ValueError(f"bank of lags up to {self.max_lag} and powers up to {p} "
                              f"does not cover {orders}")
-        cols = [self.y0 + output + G * lag for lag in range(1, orders.n + 1)]
-        cols += [j * p + i + G * lag for j, c in enumerate(orders.channels)
-                 for i in range(c.p) for lag in range(c.d, c.d + c.m + 1)]
-        return sorted(cols)
+        return sorted([G * lag + (self.y0 + output if j is None else j * p + power - 1)
+                       for j, power, lags in regression_signals(orders) for lag in lags])
 
     def losses(self, sweep, output: int) -> np.ndarray:
         """J of output ``output`` at each candidate in ``sweep``, a sequence
@@ -389,10 +388,12 @@ def select_structure(
 ) -> StructureSearchResult:
     """Choose (n, m, p) for one output by order sweeps.
 
-    All candidates share the row window implied by the search bounds so
-    their losses are comparable; each is a column subset of the bank at the
-    bounds' orders.  Sweep order: degree p first (at the full
-    dynamic orders), then n (at full m), then m.  Every sweep is scored to
+    All candidates regress over the bank's rows, from its largest lag on,
+    so their losses are comparable; each is a column subset of the bank.
+    The identify's shared bank starts at row 18 at the default bounds and
+    ``max_lag``; the bank folded at the bounds and delays alone starts at
+    max(n_max, max(delays) + m_max).  Sweep order: degree p first (at the
+    full dynamic orders), then n (at full m), then m.  Every sweep is scored to
     its bound and every candidate recorded.  p is the smallest degree whose
     successor improves J by less than the plateau threshold, or whose J is
     already below the convergence floor (relative to output power) — the

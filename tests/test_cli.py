@@ -344,6 +344,21 @@ class TestIdentify:
         ]) == 1
         assert capsys.readouterr().err == "error: structure: constant input series 'V_f'\n"
 
+    @pytest.mark.parametrize("kind", ["input", "output"])
+    def test_dataset_without_inputs_or_outputs_named(self, tmp_path, capsys, kind):
+        # save_dataset writes an empty '# inputs:' or '# outputs:' line for it
+        data = preset_oracle_dataset(n_samples=1070)
+        if kind == "input":
+            data = Dataset(1.0, data.inputs[:, :0], data.outputs, (), data.output_names)
+        else:
+            data = Dataset(1.0, data.inputs, data.outputs[:, :0], data.input_names, ())
+        save_dataset(tmp_path / "data.csv", data)
+        assert main([
+            "identify", "--dataset", str(tmp_path / "data.csv"),
+            "--output-dir", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: estimate: dataset has no {kind} series\n"
+
     @pytest.mark.parametrize("stage, cfg, dataset", [
         ("load", {}, "missing.csv"),
         ("preprocess", {"preprocess": {"median_window": 4}}, "oracle.csv"),

@@ -22,6 +22,7 @@ from hammid import (
     simulate_channel,
 )
 from hammid.estimate import _FIT_FOLD_ROWS, DEFAULT_ALPHA_SQ, RegressionProblem, assemble_model
+from hammid.structure import _CompressedBank
 
 from helpers import expected_preset_theta, preset_oracle_dataset
 
@@ -69,6 +70,63 @@ _ROW_COUNTS = st.one_of(
     st.integers(1, 4).map(lambda k: k * _SMALL_FOLD_ROWS),
     st.integers(1, 4).map(lambda k: k * _SMALL_FOLD_ROWS + 1),
 )
+
+
+def _reference_columns(data, orders, output):
+    """[H y] of ``output`` at ``orders``, built one column at a time and
+    stacked by ``np.column_stack``, and each column's label."""
+    N, k0 = data.n_samples, orders.max_lag
+    y = data.outputs[:, output]
+    cols = [(-y[k0 - i:N - i], f"-y(k-{i})") for i in range(1, orders.n + 1)]
+    for j, ch in enumerate(orders.channels):
+        for power in range(1, ch.p + 1):
+            up = data.inputs[:, j] ** power
+            cols += [(up[k0 - lag:N - lag], f"u{j + 1}^{power}(k-{lag})")
+                     for lag in range(ch.d, ch.d + ch.m + 1)]
+    H = np.column_stack([c for c, _ in cols]) if cols else np.empty((N - k0, 0))
+    return H, y[k0:N].copy(), [label for _, label in cols]
+
+
+def _bank_label(bank, col, output):
+    """Label of bank column ``col`` by the bank's layout: signal g at lag l
+    is column g + G l, u_j^i being signal j p + i - 1 and -y_s signal y0 + s."""
+    lag, g = divmod(col, bank.n_signals)
+    if g >= bank.y0:
+        assert g - bank.y0 == output
+        return f"-y(k-{lag})"
+    return f"u{g // bank.p + 1}^{g % bank.p + 1}(k-{lag})"
+
+
+@st.composite
+def _regressions(draw):
+    """Data of 1-3 inputs and 1-3 outputs, orders with p, m and d drawn per
+    channel, and an output."""
+    n_inputs, n_outputs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    orders = StructureOrders(n=draw(st.integers(0, 4)), channels=tuple(
+        ChannelOrders(p=draw(st.integers(1, 3)), m=draw(st.integers(0, 3)),
+                      d=draw(st.integers(0, 3)))
+        for _ in range(n_inputs)))
+    # enough rows for a bank at the orders' lag and largest power
+    G = n_inputs * max(c.p for c in orders.channels) + n_outputs
+    rows = orders.max_lag + G * (orders.max_lag + 1) + draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=(rows, n_outputs)),
+                   tuple(f"u{j}" for j in range(n_inputs)),
+                   tuple(f"y{s}" for s in range(n_outputs)))
+    return data, orders, draw(st.integers(0, n_outputs - 1))
+
+
+@given(_regressions())
+def test_regressor_and_bank_take_the_same_columns(case):
+    data, orders, output = case
+    prob = build_regressor(data, orders, output)
+    H, y, labels = _reference_columns(data, orders, output)
+    assert prob.H.tobytes() == H.tobytes()
+    assert prob.y.tobytes() == y.tobytes()
+    assert [c.label() for c in prob.column_map] == labels
+    bank = _CompressedBank(data, orders.max_lag, max(c.p for c in orders.channels))
+    assert sorted(_bank_label(bank, c, output) for c in bank.columns(orders, output)) \
+        == sorted(labels)
 
 
 class TestBuildRegressor:

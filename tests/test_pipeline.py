@@ -4,7 +4,9 @@ import re
 import pytest
 
 import hammid
-from hammid import StageError, estimate, identify, load_config, preprocess, structure, validate
+from hammid import (
+    Dataset, StageError, estimate, identify, load_config, preprocess, structure, validate,
+)
 from hammid.cli import main
 
 from helpers import BAD_SIGNAL_NAMES, preset_oracle_dataset
@@ -94,6 +96,29 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     cfg = load_config(None) | {"estimator": {"method": "bogus", "alpha_sq": 1e6}}
     with pytest.raises(StageError, match="^estimate: unknown estimator method 'bogus'$") as info:
         identify(_oracle(400), cfg)
+    assert info.value.stage == "estimate"
+
+
+def _without(data, kind):
+    """``data`` with no input series (``kind`` "input") or no output series."""
+    inputs, outputs = data.inputs, data.outputs
+    input_names, output_names = data.input_names, data.output_names
+    if kind == "input":
+        inputs, input_names = inputs[:, :0], ()
+    else:
+        outputs, output_names = outputs[:, :0], ()
+    return Dataset(data.sample_period, inputs, outputs, input_names, output_names)
+
+
+@pytest.mark.parametrize("kind", ["input", "output"])
+def test_dataset_without_inputs_or_outputs_rejected_before_any_work(monkeypatch, kind):
+    def fail(*args, **kwargs):
+        raise AssertionError("the pipeline ran on a dataset without inputs or outputs")
+
+    for module, attr in [(preprocess, "prepare_dataset"), (structure, "fold_bank")]:
+        monkeypatch.setattr(module, attr, fail)
+    with pytest.raises(StageError, match=f"^estimate: dataset has no {kind} series$") as info:
+        identify(_without(_oracle(400), kind), load_config(None))
     assert info.value.stage == "estimate"
 
 

@@ -463,6 +463,17 @@ class TestCompressedBank:
                                                  "does not cover "):
                 select_structure(data, 0, [1, 1], bounds, bank=fold_bank(data, 10))
 
+    def test_bank_of_another_input_count_is_refused(self):
+        # 2 inputs x 4 powers: orders of one or three inputs would read
+        # another input's columns
+        data = preset_oracle_dataset(n_samples=1070)
+        bank = fold_bank(data, 10)
+        for k in (1, 3):
+            orders = StructureOrders(2, [ChannelOrders(2, 2, 1)] * k)
+            with pytest.raises(ValueError, match="^bank of lags up to 18 and powers up to 4 "
+                                                 "does not cover "):
+                bank.columns(orders, 0)
+
     def test_needs_more_rows_than_regressors(self):
         # 2 inputs x 4 powers and 2 outputs at lags 0..18: 190 columns from row 18
         bounds = SearchBounds(6, 6, 4)
