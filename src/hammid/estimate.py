@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     Dataset,
@@ -147,10 +148,10 @@ def regression_signals(orders: StructureOrders) -> list[tuple[int | None, int | 
     (j, i, range(d, d + m + 1)).
 
     The one rule for which lagged signals a regression holds:
-    :func:`regression_columns` labels the columns it gives,
-    :func:`build_regressor` writes them, and the structure bank
-    (:mod:`hammid.structure`) picks them from its own, without building a
-    :class:`Column` for each of its many candidates.
+    :func:`regression_columns` labels the columns it gives and
+    :func:`signal_lags` numbers them for :func:`lagged_columns`, which
+    writes them for :func:`build_regressor` and the structure bank
+    (:mod:`hammid.structure`) alike.
     """
     return [(None, None, range(1, orders.n + 1))] + [
         (j, power, range(ch.d, ch.d + ch.m + 1))
@@ -165,21 +166,56 @@ def regression_columns(orders: StructureOrders) -> tuple[Column, ...]:
                  for j, power, lags in regression_signals(orders) for lag in lags)
 
 
+def signal_lags(orders: StructureOrders, powers, output: int) -> list[tuple[int, range]]:
+    """Each signal of output ``output``'s [H y] at ``orders`` with its lags:
+    its :func:`regression_signals` in theta's order, then the target as -y
+    at lag 0.
+
+    Signals are numbered as :func:`lagged_columns` lays them out for
+    ``powers``: u_j^i is signal powers[0] + .. + powers[j - 1] + i - 1, and
+    -y_s is signal sum(powers) + s.
+    """
+    return [(sum(powers) + output if j is None else sum(powers[:j]) + power - 1, lags)
+            for j, power, lags in regression_signals(orders) + [(None, None, range(1))]]
+
+
+def lagged_columns(data: Dataset, powers, signals, first: int, start: int,
+                   stop: int) -> np.ndarray:
+    """Rows ``start`` .. ``stop`` - 1 of the lagged columns of ``signals``, a
+    sequence of (signal, lags), one column per lag in order, as a fresh
+    Fortran array.
+
+    The signals of ``data`` are u_j^1 .. u_j^powers[j] for each input j,
+    then -y_s for each output s, and the column of signal g at lag l holds
+    g at sample ``first`` + row - l, 0 <= l <= ``first``.  Only samples
+    ``start`` .. ``first`` + ``stop`` - 1 are read, each power taken once.
+    Every regression column is written here: :func:`build_regressor`'s
+    [H y] and each row block of the structure bank (:mod:`hammid.structure`).
+    """
+    u, y = data.inputs[start:first + stop], data.outputs[start:first + stop]
+    # signal g is row g, so its windows are contiguous and the gather's
+    # transpose is the Fortran block
+    Z = np.array([u[:, j] ** i for j, p in enumerate(powers) for i in range(1, p + 1)]
+                 + list(-y.T))
+    g, lag = np.array([(sig, lag) for sig, lags in signals for lag in lags]).T
+    return sliding_window_view(Z, stop - start, axis=1)[g, first - lag].T
+
+
 def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
     """Assemble the regression for one output of a deviation-scale dataset.
 
     Its columns are the lagged :func:`regression_signals` of ``orders``,
     and ``column_map`` is :func:`regression_columns` of them.  Rows run
     from the orders' largest lag, ``orders.max_lag``, to the end of the
-    data; powers are taken of the stored deviation values, each power of
-    each input once.
+    data; powers are taken of the stored deviation values.
 
-    Every column is written straight into one Fortran-ordered array [H y]
-    with y last, and ``H`` and ``y`` are views of it (``H.base``).  LAPACK
-    reads Fortran order, so a QR of [H y] takes that array as it is.  It
-    serves the final fit of the selected orders; the delay scan and the
-    structure search score their candidates on the R factor of one bank
-    that holds these same columns (:mod:`hammid.structure`).
+    [H y] is one :func:`lagged_columns` call over the :func:`signal_lags`
+    of ``orders``, with the target's sign flipped: one Fortran-ordered
+    array with y last, of which ``H`` and ``y`` are views.  LAPACK reads
+    Fortran order, so a QR of [H y] takes that array as it is.  It serves
+    the final fit of the selected orders; the delay scan and the structure
+    search score their candidates on the R factor of one bank whose row
+    blocks the same builder writes (:mod:`hammid.structure`).
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -190,17 +226,10 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
     k0, N = orders.max_lag, data.n_samples
     if N <= k0:
         raise ValueError(f"series of length {N} too short for orders needing lag {k0}")
-    y = data.outputs[:, output]
-    cmap = regression_columns(orders)
-    Hy = np.empty((N - k0, len(cmap) + 1), order="F")
-    c = 0
-    for j, power, lags in regression_signals(orders):
-        z = -y if j is None else data.inputs[:, j] ** power
-        for lag in lags:
-            Hy[:, c] = z[k0 - lag:N - lag]
-            c += 1
-    Hy[:, -1] = y[k0:N]
-    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=cmap)
+    powers = [c.p for c in orders.channels]
+    Hy = lagged_columns(data, powers, signal_lags(orders, powers, output), k0, 0, N - k0)
+    Hy[:, -1] *= -1.0
+    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=regression_columns(orders))
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,10 @@ def identify(data: Dataset, cfg: dict) -> Identification:
         per_output = []
         for s, orders in enumerate(orders_list):
             prob = estimate.build_regressor(train, orders, s)
-            if method == "rls":
-                theta = estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]).theta
-            else:
-                theta = estimate.batch_ls(prob).theta
-            per_output.append((orders, estimate.separate_parameters(theta, orders)))
+            fit = (estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]) if method == "rls"
+                   else estimate.batch_ls(prob))
+            del prob  # else it is alive while the next output's regression is built
+            per_output.append((orders, estimate.separate_parameters(fit.theta, orders)))
         model = estimate.assemble_model(
             per_output, data.input_names, data.output_names, operating_point=offsets,
             metadata={"estimator": method, "n_train": n_train},

@@ -15,7 +15,12 @@ output, regresses one output over the same row window on a subset of one
 fixed bank of lagged-output and lagged-input-power columns.  The bank is
 compressed to its R factor (QR data compression) once per identify
 (:func:`fold_bank`): it is built a block of rows at a time and each block
-is folded into R, so the whole bank is never held.  The candidates of one
+is folded into R, so the whole bank is never held.  Each block comes from
+the one builder of regression columns,
+:func:`~hammid.estimate.lagged_columns`, which also writes the final fit's
+[H y] from the selected orders' ``max_lag`` on, and a candidate's columns
+are found by the one numbering of both,
+:func:`~hammid.estimate.signal_lags`.  The candidates of one
 sweep are nested: the scan's candidate at d spans the one at d + 1 plus
 input j's lag-d columns, and the p, n and m sweeps each add one group of
 columns per step.  So each sweep re-orders R's columns, new columns of each
@@ -43,10 +48,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .estimate import (ChannelOrders, RegressionProblem, StructureOrders, fold_rows,
-                       regression_signals)
+                       lagged_columns, signal_lags)
 from .model import Dataset
 
 DEFAULT_PLATEAU_THRESHOLD = 0.02
@@ -161,27 +165,32 @@ class _CompressedBank:
     """R factor of the one bank that holds every regression of the scan and
     the search, for every output.
 
-    The bank is block-Hankel: the signals Z = [u_j^i for every input j and
-    power i <= ``p``, -y_s for every output s] at lags 0 .. ``max_lag``,
-    lag-major, over the rows from sample ``max_lag`` on.  Output s's
-    regressions take its -y_s column at lag 0 as target and a subset of the
-    other columns as regressors; ||z_t - Z_S theta|| equals
-    ||r_t - R_S theta||, so each is solved on R alone.
+    The bank is block-Hankel: the signals of
+    :func:`~hammid.estimate.lagged_columns` at ``p`` powers of every input
+    (u_j^i for every input j and power i <= ``p``, then -y_s for every
+    output s) at lags 0 .. ``max_lag``, lag-major, over the rows from
+    sample ``max_lag`` on.  Output s's regressions take its -y_s column at
+    lag 0 as target and a subset of the other columns as regressors;
+    ||z_t - Z_S theta|| equals ||r_t - R_S theta||, so each is solved on R
+    alone.  A dataset without input series has no regression to search.
 
     A series of N samples is too short for a bank of K columns from row L
     unless N - L >= K: the one length rule of the delay scan and the search.
     ``power``, the mean square of each output over the bank's rows, scales
     both stages' loss floors.
 
-    Z is never whole: it is built a block of rows at a time, and
-    :func:`~hammid.estimate.fold_rows` folds each block into R from zero, so
-    one block and R are all the bank memory alive.  Column g + G l of the
-    bank, with G signals, is signal g at lag l (u_j^i is signal j p + i - 1
-    and -y_s signal ``y0`` + s): :meth:`columns` puts a candidate's
-    :func:`~hammid.estimate.regression_signals` through that rule.
+    Z is never whole: each block of rows is one ``lagged_columns`` call,
+    and :func:`~hammid.estimate.fold_rows` folds it into R from zero, so one
+    block and R are all the bank memory alive.  Column G l + g of the bank,
+    with G signals, is signal g at lag l in
+    :func:`~hammid.estimate.signal_lags`' numbering (u_j^i is signal
+    j p + i - 1 and -y_s signal ``y0`` + s); :meth:`columns` maps a
+    candidate's columns through it.
     """
 
     def __init__(self, data: Dataset, max_lag: int, p: int):
+        if not data.n_inputs:
+            raise ValueError("dataset has no input series")
         L, N, self.p, self.y0 = max_lag, data.n_samples, p, data.n_inputs * p
         G = self.n_signals = self.y0 + data.n_outputs
         k = G * (L + 1)
@@ -189,28 +198,20 @@ class _CompressedBank:
             raise ValueError(f"series of length {N} too short for {k} bank columns from row {L}")
         self.max_lag, self.n_rows = L, N - L
         self.power = np.array([np.mean(y[L:] ** 2) for y in data.outputs.T])
-
-        def rows(s, e):
-            # samples s .. L + e - 1 give exactly the bank's rows s .. e - 1
-            u, y = data.inputs[s:L + e], data.outputs[s:L + e]
-            Z = np.column_stack([u[:, j] ** i for j in range(data.n_inputs)
-                                 for i in range(1, p + 1)] + [-y])
-            block = np.empty((e - s, G, L + 1), order="F")
-            block[...] = sliding_window_view(Z, L + 1, axis=0)[:, :, ::-1]
-            return block.reshape(e - s, k, order="F")
-
-        self.R = fold_rows(np.zeros((k, k), order="F"), self.n_rows, rows)
+        signals = [(g, [lag]) for lag in range(L + 1) for g in range(G)]  # lag-major
+        self.R = fold_rows(np.zeros((k, k), order="F"), self.n_rows, lambda s, e: lagged_columns(
+            data, [p] * data.n_inputs, signals, L, s, e))
 
     def columns(self, orders: StructureOrders, output: int) -> list[int]:
         """Indices of the bank columns that output ``output``'s regression at
         ``orders`` uses; a ValueError if the bank does not hold them all."""
-        G, p = self.n_signals, self.p
-        if (orders.max_lag > self.max_lag or max(c.p for c in orders.channels) > p
-                or len(orders.channels) * p != self.y0):
-            raise ValueError(f"bank of lags up to {self.max_lag} and powers up to {p} "
+        if (orders.max_lag > self.max_lag or any(c.p > self.p for c in orders.channels)
+                or len(orders.channels) * self.p != self.y0):
+            raise ValueError(f"bank of lags up to {self.max_lag} and powers up to {self.p} "
                              f"does not cover {orders}")
-        return sorted([G * lag + (self.y0 + output if j is None else j * p + power - 1)
-                       for j, power, lags in regression_signals(orders) for lag in lags])
+        G = self.n_signals
+        *signals, _target = signal_lags(orders, [self.p] * len(orders.channels), output)
+        return sorted([G * lag + g for g, lags in signals for lag in lags])
 
     def losses(self, sweep, output: int) -> np.ndarray:
         """J of output ``output`` at each candidate in ``sweep``, a sequence
@@ -301,9 +302,9 @@ def estimate_delays(data: Dataset, output: int, max_lag: int, *,
     up to the true delay (those leading taps are genuinely zero) and jumps
     beyond it.  The estimate is the largest candidate whose loss lies within
     ``_DELAY_JUMP_TOL`` of the scan's smallest, or at the exact-fit floor.
-    ``max_lag`` must lie in [0, N/4), and no series may be constant.  The
-    candidates are scored on ``bank``, by default :func:`fold_bank` of
-    ``data`` at ``max_lag``.
+    ``max_lag`` must lie in [0, N/4), ``data`` needs an input series, and no
+    series may be constant.  The candidates are scored on ``bank``, by
+    default :func:`fold_bank` of ``data`` at ``max_lag``.
     """
     _check_max_lag(data, max_lag)
     if not 0 <= output < data.n_outputs:
@@ -412,8 +413,8 @@ def select_structure(
         raise ValueError(f"need one delay per input, got {len(delays)}")
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
-    bank = bank or _CompressedBank(data, max(bounds.n_max, max(delays) + bounds.m_max),
-                                   bounds.p_max)
+    lag = max(bounds.n_max, max(delays, default=0) + bounds.m_max)
+    bank = bank or _CompressedBank(data, lag, bounds.p_max)
     floor = convergence_floor * bank.power[output]
     candidates: list[Candidate] = []
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,29 @@ def test_fixed_orders_fold_no_bank(monkeypatch):
     assert {name: len(c) for name, c in calls.items()} == {
         "prepare_dataset": 1, "build_regressor": 2, "batch_ls": 2, "separate_parameters": 2,
         "evaluate": 1}
+
+
+@pytest.mark.parametrize("method", ["batch", "rls"])
+def test_one_regression_alive_at_a_time(method):
+    # at fixed orders no bank is folded, and each output's [H y] is the
+    # largest array of the identify: 17 994 x 30 and 17 992 x 54 doubles
+    orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
+    cfg = load_config(None) | {"n_train": 18_000, "fixed_orders": orders,
+                               "estimator": {"method": method,
+                                             "alpha_sq": estimate.DEFAULT_ALPHA_SQ}}
+    sizes = [(18_000 - o.max_lag) * (o.n_parameters + 1) * 8 for o in (
+        estimate.StructureOrders(e["n"], [estimate.ChannelOrders(**c) for c in e["channels"]])
+        for e in orders)]
+    data = _oracle(20_000)
+    tracemalloc.start()
+    try:
+        identify(data, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # both regressions alive at once would need their sum; a peak below the
+    # larger one would mean tracemalloc missed it
+    assert max(sizes) <= peak < sum(sizes)
 
 
 def test_unknown_method_rejected_before_any_work(monkeypatch):

@@ -25,7 +25,7 @@ from hammid import (
     select_structure,
     simulate_channel,
 )
-from hammid.estimate import _FOLD_ROWS, RegressionProblem
+from hammid.estimate import _FOLD_ROWS, RegressionProblem, fold_rows
 from hammid.excitation import AmplitudeGrid, generate_excitation
 from hammid.structure import (
     _DELAY_JUMP_TOL,
@@ -427,6 +427,40 @@ class TestCompressedBank:
             power = float(np.mean(y[start:] ** 2))
             _assert_losses_close([c.loss for c in result.candidates], direct, power)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 200, 4096])
+    def test_rows_are_bitwise_those_of_the_whole_series(self, monkeypatch, block_rows):
+        # the bank's 1052 rows from sample 18 in blocks of one row, of fewer
+        # rows than the bank has columns, of 200 with a last block of 52, and
+        # in one block
+        monkeypatch.setattr("hammid.estimate._FOLD_ROWS", block_rows)
+        blocks = []
+
+        def recording_fold(F, n_rows, rows, *args):
+            def kept(s, e):
+                block = rows(s, e)
+                blocks.append((s, e, block.copy(order="K")))  # the fold overwrites it
+                return block
+            return fold_rows(F, n_rows, kept, *args)
+
+        monkeypatch.setattr("hammid.structure.fold_rows", recording_fold)
+        data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
+        bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
+        Z = _reference_bank(data, 18, 4)
+        assert [(s, e) for s, e, _ in blocks] == [
+            (s, min(s + block_rows, len(Z))) for s in range(0, len(Z), block_rows)]
+        for s, e, block in blocks:
+            assert block.flags.f_contiguous
+            assert block.tobytes(order="F") == Z[s:e].tobytes(order="F")
+        # the scan bank's orders reach the bank's largest lag, so their [H y]
+        # has the bank's rows: each column one of Z's, the target -Z's y column
+        orders = _SCAN_BANK[0]
+        for s in range(data.n_outputs):
+            prob = build_regressor(data, orders, s)
+            want = [Z[:, bank.n_signals * c.lag + (bank.y0 + s if c.input is None
+                                                   else c.input * bank.p + c.power - 1)]
+                    for c in prob.column_map] + [-Z[:, bank.y0 + s]]
+            assert np.column_stack([prob.H, prob.y]).tobytes() == np.column_stack(want).tobytes()
+
     @pytest.mark.parametrize("shape", _SHAPES)
     def test_shared_bank_answers_as_banks_of_their_own(self, shape):
         make, max_lag, bounds, true_delays = _SHAPES[shape]
@@ -473,6 +507,15 @@ class TestCompressedBank:
             with pytest.raises(ValueError, match="^bank of lags up to 18 and powers up to 4 "
                                                  "does not cover "):
                 bank.columns(orders, 0)
+
+    def test_dataset_without_inputs_is_named(self):
+        full = preset_oracle_dataset(n_samples=1070)
+        data = Dataset(1.0, np.zeros((1070, 0)), full.outputs, (), full.output_names)
+        for call in (lambda: select_structure(data, 0, [], SearchBounds(6, 6, 4)),
+                     lambda: fold_bank(data, 10).columns(StructureOrders(2, []), 0),
+                     lambda: estimate_delays(data, 0, 10)):
+            with pytest.raises(ValueError, match="^dataset has no input series$"):
+                call()
 
     def test_needs_more_rows_than_regressors(self):
         # 2 inputs x 4 powers and 2 outputs at lags 0..18: 190 columns from row 18
