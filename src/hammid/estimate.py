@@ -33,18 +33,19 @@ ALPHA_SQ_BRACKET = (1e5, 1e10)
 DEFAULT_ALPHA_SQ = 1e6
 _BATCH_RCOND = 1e-10  # singular values below this share of the largest count as zero
 # Rows of [H y] folded into an R factor at a time, and dtpqrt's inner block
-# size nb.  Building and folding the 19 982 x 190 structure bank of a
+# size nb.  Building and folding the 19 982 x 170 structure bank of a
 # 2e4-sample two-input two-output record at the default search (2-core box,
 # two BLAS threads, median of 7) took, in s:
 #
 #   rows   nb 8   nb 16   nb 32   nb 64   tracemalloc peak
-#   1024   0.120  0.124   0.177   0.272    2.0 MiB
-#   2048   0.106  0.117   0.161   0.248    3.6 MiB
-#   4096   0.106  0.111   0.158   0.250    7.0 MiB
-#   8192   0.097  0.107   0.152   0.220   13.7 MiB
+#   1024   0.078  0.097   0.143   0.213    1.7 MiB
+#   2048   0.074  0.091   0.121   0.186    3.2 MiB
+#   4096   0.069  0.075   0.117   0.173    6.2 MiB
+#   8192   0.061  0.069   0.111   0.160   12.2 MiB
 #
-# against 0.177 s and 29.0 MiB for the whole bank and one scipy QR.  With
-# one BLAS thread every entry up to nb 32 lay within 0.10-0.14 s.
+# against 0.128 s for the whole bank (27.2 MB) and one scipy QR.  With one
+# BLAS thread every entry up to nb 32 lay within 0.058-0.088 s, and nb 16
+# was no faster than nb 8 at two threads at any block size.
 _FOLD_ROWS = 4096
 _FOLD_NB = 8
 # Rows per block of the final fits: OpenBLAS threads dtpqrt's inner calls from
@@ -195,8 +196,16 @@ def lagged_columns(data: Dataset, powers, signals, first: int, start: int,
     u, y = data.inputs[start:first + stop], data.outputs[start:first + stop]
     # signal g is row g, so its windows are contiguous and the gather's
     # transpose is the Fortran block
-    Z = np.array([u[:, j] ** i for j, p in enumerate(powers) for i in range(1, p + 1)]
-                 + list(-y.T))
+    Z = []
+    for j, p in enumerate(powers):
+        # u^i as a running product: 1 u is u and u u is u**2 bitwise, and
+        # u^i is u**i bitwise wherever every product is exact, as on
+        # integer-valued deviations
+        power = 1.0
+        for _ in range(p):
+            power = power * u[:, j]
+            Z.append(power)
+    Z = np.array(Z + list(-y.T))
     g, lag = np.array([(sig, lag) for sig, lags in signals for lag in lags]).T
     return sliding_window_view(Z, stop - start, axis=1)[g, first - lag].T
 
@@ -213,9 +222,10 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
     of ``orders``, with the target's sign flipped: one Fortran-ordered
     array with y last, of which ``H`` and ``y`` are views.  LAPACK reads
     Fortran order, so a QR of [H y] takes that array as it is.  It serves
-    the final fit of the selected orders; the delay scan and the structure
-    search score their candidates on the R factor of one bank whose row
-    blocks the same builder writes (:mod:`hammid.structure`).
+    fits at fixed orders and by RLS; the delay scan, the structure search
+    and the batch fit of the searched orders solve on the R factor of one
+    bank whose row blocks the same builder writes (:mod:`hammid.structure`),
+    and build [H y] only to name the columns of a rank-deficient fit.
     """
     if len(orders.channels) != data.n_inputs:
         raise ValueError(
@@ -258,8 +268,8 @@ def fold_rows(F: np.ndarray, n_rows: int, rows, block_rows: int | None = None) -
     return F
 
 
-def _fold_problem(state: EstimatorState, prob: RegressionProblem):
-    """``state`` with every row of ``prob`` folded in, and the residual rho.
+def _fold_problem(state: EstimatorState, prob: RegressionProblem) -> np.ndarray:
+    """[R z; 0 rho]: ``state``'s factor with every row of ``prob`` folded in.
 
     Bierman's square-root information filter (Factorization Methods for
     Discrete Sequential Estimation, 1977): R+'R+ = R'R + H'H and
@@ -275,8 +285,13 @@ def _fold_problem(state: EstimatorState, prob: RegressionProblem):
         block[:, :k], block[:, k] = prob.H[s:e], prob.y[s:e]
         return block
 
-    F = fold_rows(F, prob.n_rows, rows, _FIT_FOLD_ROWS)
-    return EstimatorState(F[:k, :k], F[:k, k], state.samples_seen + prob.n_rows), F[k, k]
+    return fold_rows(F, prob.n_rows, rows, _FIT_FOLD_ROWS)
+
+
+def _advance(state: EstimatorState, prob: RegressionProblem) -> EstimatorState:
+    """``state`` after every row of ``prob``."""
+    k, F = prob.n_columns, _fold_problem(state, prob)
+    return EstimatorState(F[:k, :k], F[:k, k], state.samples_seen + prob.n_rows)
 
 
 @dataclass(frozen=True)
@@ -302,28 +317,44 @@ def _name_offenders(H: np.ndarray, rank: int, column_map) -> list[tuple[str, str
     return offenders
 
 
+def solve_folded(F: np.ndarray, n_rows: int, regression) -> BatchResult:
+    """Solve min ||y - H theta|| from the factor F = [R z; 0 rho] of [H y]
+    over ``n_rows`` rows.
+
+    theta solves R theta = z by singular value decomposition, which gives
+    H's rank and condition, and the loss is rho^2 / rows.  Raises
+    :class:`RankDeficiencyError` when the numerical rank (at the relative
+    cutoff ``_BATCH_RCOND``) is below the column count, naming H's
+    dependent columns by ``regression()``, the problem that F factors,
+    which is called only then.
+    """
+    k = F.shape[1] - 1
+    theta, _, rank, sv = scipy.linalg.lstsq(F[:k, :k], F[:k, k], cond=_BATCH_RCOND,
+                                            lapack_driver="gelsd", check_finite=False)
+    if rank < k:
+        prob = regression()
+        raise RankDeficiencyError(rank, k, _name_offenders(prob.H, rank, prob.column_map))
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    rho = F[k, k]
+    return BatchResult(theta=theta, loss=float(rho * rho) / n_rows, rank=int(rank),
+                       condition=cond)
+
+
 def batch_ls(prob: RegressionProblem) -> BatchResult:
     """Solve min ||y - H theta|| by orthogonal factorization.
 
     [H y] is folded from zero to [R z; 0 rho], as RLS folds it into its
-    prior.  theta solves R theta = z by singular value decomposition, which
-    gives H's rank and condition, and the loss is rho^2 / rows.  Raises
-    :class:`RankDeficiencyError` when the numerical rank (at the relative
-    cutoff ``_BATCH_RCOND``) is below the column count.  Fold and solve run
-    on scipy's BLAS, as the structure search does (see
-    :mod:`hammid.structure`), so one OpenBLAS thread pool serves both.
+    prior, and :func:`solve_folded` solves that factor, as it solves the
+    structure bank's factor of the searched orders
+    (:func:`hammid.structure.fit_orders`).  Fold and solve run on scipy's
+    BLAS, as the structure search does (see :mod:`hammid.structure`), so
+    one OpenBLAS thread pool serves both.
     """
     k = prob.n_columns
     if k == 0:
         raise ValueError("regression has no columns")
-    fit, rho = _fold_problem(EstimatorState(np.zeros((k, k)), np.zeros(k)), prob)
-    theta, _, rank, sv = scipy.linalg.lstsq(fit.R, fit.z, cond=_BATCH_RCOND,
-                                            lapack_driver="gelsd", check_finite=False)
-    if rank < k:
-        raise RankDeficiencyError(rank, k, _name_offenders(prob.H, rank, prob.column_map))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return BatchResult(theta=theta, loss=float(rho * rho) / prob.n_rows, rank=int(rank),
-                       condition=cond)
+    F = _fold_problem(EstimatorState(np.zeros((k, k)), np.zeros(k)), prob)
+    return solve_folded(F, prob.n_rows, lambda: prob)
 
 
 @dataclass
@@ -387,7 +418,7 @@ def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
     phi = np.asarray(phi, dtype=float).ravel()
     if phi.shape != state.z.shape:
         raise ValueError(f"regressor dim {phi.shape} != state dim {state.z.shape}")
-    return _fold_problem(state, RegressionProblem(phi[None, :], np.array([float(y_k)]), ()))[0]
+    return _advance(state, RegressionProblem(phi[None, :], np.array([float(y_k)]), ()))
 
 
 def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
@@ -397,7 +428,7 @@ def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> Esti
     :func:`fold_rows`, ``_FIT_FOLD_ROWS`` at a time; in exact arithmetic the
     state equals that of one :func:`rls_update` per row.
     """
-    return _fold_problem(init_estimator(prob.n_columns, alpha_sq), prob)[0]
+    return _advance(init_estimator(prob.n_columns, alpha_sq), prob)
 
 
 # ---------------------------------------------------------------------------

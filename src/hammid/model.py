@@ -43,9 +43,12 @@ class StaticNonlinearity:
 def eval_nonlinearity(f: StaticNonlinearity, u):
     """Evaluate the polynomial map at a scalar or an array of inputs."""
     arr = np.asarray(u, dtype=float)
-    v = arr.copy()
-    for i, r in enumerate(f.coeffs, start=2):
-        v = v + r * arr**i
+    v = power = arr.copy()
+    # u^i as a running product, summed in order: u u is u**2 bitwise, and
+    # u^i is u**i bitwise wherever every product is exact (integer-valued u)
+    for r in f.coeffs:
+        power = power * arr
+        v = v + r * power
     return v if v.ndim else float(v)
 
 

@@ -174,15 +174,19 @@ def identify(data: Dataset, cfg: dict) -> Identification:
                     f"fixed_orders describe {len(orders_list)} outputs, "
                     f"dataset has {data.n_outputs}"
                 )
-            searches = [None] * data.n_outputs
+            bank, searches = None, [None] * data.n_outputs
 
     with stage("estimate"):
         per_output = []
         for s, orders in enumerate(orders_list):
-            prob = estimate.build_regressor(train, orders, s)
-            fit = (estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]) if method == "rls"
-                   else estimate.batch_ls(prob))
-            del prob  # else it is alive while the next output's regression is built
+            if bank is not None and method == "batch":
+                # the searched orders' columns are in the bank: no row is read again
+                fit = structure.fit_orders(train, orders, s, bank)
+            else:
+                prob = estimate.build_regressor(train, orders, s)
+                fit = (estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]) if method == "rls"
+                       else estimate.batch_ls(prob))
+                del prob  # else it is alive while the next output's regression is built
             per_output.append((orders, estimate.separate_parameters(fit.theta, orders)))
         model = estimate.assemble_model(
             per_output, data.input_names, data.output_names, operating_point=offsets,

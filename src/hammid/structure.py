@@ -12,14 +12,17 @@ degree at the floor or that the next degree no longer improves noticeably.
 
 Every candidate of the scan, and every candidate of the search, for every
 output, regresses one output over the same row window on a subset of one
-fixed bank of lagged-output and lagged-input-power columns.  The bank is
-compressed to its R factor (QR data compression) once per identify
-(:func:`fold_bank`): it is built a block of rows at a time and each block
-is folded into R, so the whole bank is never held.  Each block comes from
-the one builder of regression columns,
-:func:`~hammid.estimate.lagged_columns`, which also writes the final fit's
-[H y] from the selected orders' ``max_lag`` on, and a candidate's columns
-are found by the one numbering of both,
+fixed bank of lagged-output and lagged-input-power columns, and so does
+the batch fit of the orders the search selects (:func:`fit_orders`).  The
+bank holds input powers at every lag up to its largest and outputs only up
+to the largest lag some regression reads.  It is compressed to its R
+factor (QR data compression) once per identify (:func:`fold_bank`): it is
+built a block of rows at a time and each block is folded into R, so the
+whole bank is never held, and no training row is read again.  Each block
+comes from the one builder of regression columns,
+:func:`~hammid.estimate.lagged_columns`, which also writes [H y] of a fit
+at fixed orders or by RLS from the orders' ``max_lag`` on, and a
+candidate's columns are found by the one numbering of both,
 :func:`~hammid.estimate.signal_lags`.  The candidates of one
 sweep are nested: the scan's candidate at d spans the one at d + 1 plus
 input j's lag-d columns, and the p, n and m sweeps each add one group of
@@ -36,9 +39,9 @@ solution as a direct solve.
 
 numpy and scipy may each ship their own OpenBLAS, each with its own thread
 pool, and two pools that spin on the same cores slow each other down.  So
-the delay scan and the order search factor with ``scipy.linalg`` and take
-long sums as plain numpy reductions: they make no numpy BLAS or LAPACK
-call large enough to thread, and neither does
+the delay scan, the order search and the bank's fit factor with
+``scipy.linalg`` and take long sums as plain numpy reductions: they make no
+numpy BLAS or LAPACK call large enough to thread, and neither does
 :func:`~hammid.estimate.batch_ls`.
 """
 
@@ -49,8 +52,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .estimate import (ChannelOrders, RegressionProblem, StructureOrders, fold_rows,
-                       lagged_columns, signal_lags)
+from .estimate import (BatchResult, ChannelOrders, RegressionProblem, StructureOrders,
+                       build_regressor, fold_rows, lagged_columns, signal_lags, solve_folded)
 from .model import Dataset
 
 DEFAULT_PLATEAU_THRESHOLD = 0.02
@@ -163,14 +166,15 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.n
 
 class _CompressedBank:
     """R factor of the one bank that holds every regression of the scan and
-    the search, for every output.
+    the search, and the final fit of the searched orders, for every output.
 
     The bank is block-Hankel: the signals of
     :func:`~hammid.estimate.lagged_columns` at ``p`` powers of every input
     (u_j^i for every input j and power i <= ``p``, then -y_s for every
-    output s) at lags 0 .. ``max_lag``, lag-major, over the rows from
-    sample ``max_lag`` on.  Output s's regressions take its -y_s column at
-    lag 0 as target and a subset of the other columns as regressors;
+    output s), lag-major, over the rows from sample ``max_lag`` on.  Input
+    powers are held at lags 0 .. ``max_lag`` and outputs only at lags
+    0 .. ``n_lag``, the largest output lag any of its regressions reads.  Output s's regressions take its -y_s column at lag
+    0 as target and a subset of the other columns as regressors;
     ||z_t - Z_S theta|| equals ||r_t - R_S theta||, so each is solved on R
     alone.  A dataset without input series has no regression to search.
 
@@ -181,43 +185,68 @@ class _CompressedBank:
 
     Z is never whole: each block of rows is one ``lagged_columns`` call,
     and :func:`~hammid.estimate.fold_rows` folds it into R from zero, so one
-    block and R are all the bank memory alive.  Column G l + g of the bank,
-    with G signals, is signal g at lag l in
-    :func:`~hammid.estimate.signal_lags`' numbering (u_j^i is signal
-    j p + i - 1 and -y_s signal ``y0`` + s); :meth:`columns` maps a
-    candidate's columns through it.
+    block and R are all the bank memory alive.  ``index`` maps each
+    (signal, lag) in :func:`~hammid.estimate.signal_lags`' numbering (u_j^i
+    is signal j p + i - 1 and -y_s signal ``y0`` + s) to its column, built
+    from the list of signals the rows are written from; :meth:`columns`
+    maps a candidate's columns through it.
     """
 
-    def __init__(self, data: Dataset, max_lag: int, p: int):
+    def __init__(self, data: Dataset, max_lag: int, p: int, n_lag: int):
         if not data.n_inputs:
             raise ValueError("dataset has no input series")
-        L, N, self.p, self.y0 = max_lag, data.n_samples, p, data.n_inputs * p
-        G = self.n_signals = self.y0 + data.n_outputs
-        k = G * (L + 1)
+        L, N, self.p, self.n_lag = max_lag, data.n_samples, p, n_lag
+        self.y0 = data.n_inputs * p
+        self.n_signals = self.y0 + data.n_outputs
+        signals = [(g, [lag]) for lag in range(L + 1) for g in range(self.n_signals)
+                   if g < self.y0 or lag <= n_lag]  # lag-major
+        self.index = {(g, lag): c for c, (g, (lag,)) in enumerate(signals)}
+        k = len(signals)
         if N - L < k:
             raise ValueError(f"series of length {N} too short for {k} bank columns from row {L}")
         self.max_lag, self.n_rows = L, N - L
         self.power = np.array([np.mean(y[L:] ** 2) for y in data.outputs.T])
-        signals = [(g, [lag]) for lag in range(L + 1) for g in range(G)]  # lag-major
         self.R = fold_rows(np.zeros((k, k), order="F"), self.n_rows, lambda s, e: lagged_columns(
             data, [p] * data.n_inputs, signals, L, s, e))
 
-    def columns(self, orders: StructureOrders, output: int) -> list[int]:
-        """Indices of the bank columns that output ``output``'s regression at
-        ``orders`` uses; a ValueError if the bank does not hold them all."""
+    def _indices(self, orders: StructureOrders, output: int) -> list[int]:
+        """Bank columns of output ``output``'s [H y] at ``orders``, in theta's
+        order with the target last; a ValueError if the bank does not hold
+        them all."""
         if (orders.max_lag > self.max_lag or any(c.p > self.p for c in orders.channels)
                 or len(orders.channels) * self.p != self.y0):
             raise ValueError(f"bank of lags up to {self.max_lag} and powers up to {self.p} "
                              f"does not cover {orders}")
-        G = self.n_signals
-        *signals, _target = signal_lags(orders, [self.p] * len(orders.channels), output)
-        return sorted([G * lag + g for g, lags in signals for lag in lags])
+        if not 0 <= output < self.n_signals - self.y0:
+            raise ValueError(f"output index {output} out of range")
+        if orders.n > self.n_lag:
+            raise ValueError(f"bank of output lags up to {self.n_lag} does not cover {orders}")
+        return [self.index[g, lag] for g, lags in
+                signal_lags(orders, [self.p] * len(orders.channels), output) for lag in lags]
+
+    def columns(self, orders: StructureOrders, output: int) -> list[int]:
+        """Indices of the bank columns that output ``output``'s regression at
+        ``orders`` uses, ascending; a ValueError if the bank does not hold
+        them all."""
+        return sorted(self._indices(orders, output)[:-1])
 
     def losses(self, sweep, output: int) -> np.ndarray:
         """J of output ``output`` at each candidate in ``sweep``, a sequence
         of orders each of which spans the bank columns of the one before it."""
         return _nested_losses(self.R, self.n_rows,
                               [self.columns(orders, output) for orders in sweep], self.y0 + output)
+
+    def factor(self, orders: StructureOrders, output: int) -> np.ndarray:
+        """[R z; 0 rho], the R factor of output ``output``'s [H y] at
+        ``orders`` over the bank's rows, H's columns in theta's order.
+
+        R's columns of the regression and the target are taken in that
+        order and re-factored; the target column is negated first, since
+        the bank holds -y."""
+        cols = self._indices(orders, output)
+        A = self.R[:, cols]
+        A[:, -1] *= -1.0
+        return scipy.linalg.qr(A, mode="r", check_finite=False)[0][:len(cols)]
 
 
 def _first_within(losses: np.ndarray, tol: float, floor: float) -> int:
@@ -281,15 +310,19 @@ def _check_max_lag(data: Dataset, max_lag: int) -> None:
 
 def fold_bank(data: Dataset, max_lag: int, bounds: SearchBounds | None = None) -> _CompressedBank:
     """Fold the bank that holds every output's delay scan up to ``max_lag``
-    and, given ``bounds``, its structure search at delays up to ``max_lag``.
+    and, given ``bounds``, its structure search at delays up to ``max_lag``
+    and the final fit of the orders it selects (:func:`fit_orders`).  Output
+    lags are held up to ``_DELAY_N_FIT`` and ``n_max``, the most that any
+    of these regressions reads.
 
     ``max_lag`` is checked first, so a bad value is named before the bank
     is folded."""
     _check_max_lag(data, max_lag)
-    lag, p = max(max_lag + _DELAY_PAD, _DELAY_N_FIT), _DELAY_P_FIT
+    lag, p, n = max(max_lag + _DELAY_PAD, _DELAY_N_FIT), _DELAY_P_FIT, _DELAY_N_FIT
     if bounds is not None:
-        lag, p = max(lag, bounds.n_max, max_lag + bounds.m_max), max(p, bounds.p_max)
-    return _CompressedBank(data, lag, p)
+        lag, p, n = (max(lag, bounds.n_max, max_lag + bounds.m_max), max(p, bounds.p_max),
+                     max(n, bounds.n_max))
+    return _CompressedBank(data, lag, p, n)
 
 
 def estimate_delays(data: Dataset, output: int, max_lag: int, *,
@@ -414,7 +447,7 @@ def select_structure(
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
     lag = max(bounds.n_max, max(delays, default=0) + bounds.m_max)
-    bank = bank or _CompressedBank(data, lag, bounds.p_max)
+    bank = bank or _CompressedBank(data, lag, bounds.p_max, bounds.n_max)
     floor = convergence_floor * bank.power[output]
     candidates: list[Candidate] = []
 
@@ -438,6 +471,27 @@ def select_structure(
         plateau_threshold=plateau_threshold,
         convergence_floor=convergence_floor,
     )
+
+
+def fit_orders(data: Dataset, orders: StructureOrders, output: int,
+               bank: _CompressedBank) -> BatchResult:
+    """Batch least squares of output ``output`` at ``orders``, solved from
+    the R factor of ``bank``, which must be folded from ``data``.
+
+    The regression runs over the bank's rows, from its largest lag on: it
+    is :func:`~hammid.estimate.batch_ls` of
+    :func:`~hammid.estimate.build_regressor` without its first
+    ``bank.max_lag - orders.max_lag`` rows, up to round-off, and raises
+    the same :class:`~hammid.estimate.RankDeficiencyError`.  No row of
+    ``data`` is read again unless the regression is rank deficient, when
+    its [H y] is built to name the dependent columns.
+    """
+    def regression():
+        prob = build_regressor(data, orders, output)
+        skip = bank.max_lag - orders.max_lag
+        return RegressionProblem(prob.H[skip:], prob.y[skip:], prob.column_map)
+
+    return solve_folded(bank.factor(orders, output), bank.n_rows, regression)
 
 
 def format_search_report(result: StructureSearchResult, output_name: str = "") -> str:

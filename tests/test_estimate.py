@@ -21,7 +21,8 @@ from hammid import (
     separate_parameters,
     simulate_channel,
 )
-from hammid.estimate import _FIT_FOLD_ROWS, DEFAULT_ALPHA_SQ, RegressionProblem, assemble_model
+from hammid.estimate import (_FIT_FOLD_ROWS, DEFAULT_ALPHA_SQ, RegressionProblem, assemble_model,
+                             lagged_columns)
 from hammid.structure import _CompressedBank
 
 from helpers import expected_preset_theta, preset_oracle_dataset
@@ -74,13 +75,15 @@ _ROW_COUNTS = st.one_of(
 
 def _reference_columns(data, orders, output):
     """[H y] of ``output`` at ``orders``, built one column at a time and
-    stacked by ``np.column_stack``, and each column's label."""
+    stacked by ``np.column_stack``, and each column's label.  u^i is the
+    running product u^(i-1) u."""
     N, k0 = data.n_samples, orders.max_lag
     y = data.outputs[:, output]
     cols = [(-y[k0 - i:N - i], f"-y(k-{i})") for i in range(1, orders.n + 1)]
     for j, ch in enumerate(orders.channels):
+        up = data.inputs[:, j]
         for power in range(1, ch.p + 1):
-            up = data.inputs[:, j] ** power
+            up = up if power == 1 else up * data.inputs[:, j]
             cols += [(up[k0 - lag:N - lag], f"u{j + 1}^{power}(k-{lag})")
                      for lag in range(ch.d, ch.d + ch.m + 1)]
     H = np.column_stack([c for c, _ in cols]) if cols else np.empty((N - k0, 0))
@@ -88,9 +91,9 @@ def _reference_columns(data, orders, output):
 
 
 def _bank_label(bank, col, output):
-    """Label of bank column ``col`` by the bank's layout: signal g at lag l
-    is column g + G l, u_j^i being signal j p + i - 1 and -y_s signal y0 + s."""
-    lag, g = divmod(col, bank.n_signals)
+    """Label of bank column ``col`` through the bank's (signal, lag) index,
+    u_j^i being signal j p + i - 1 and -y_s signal y0 + s."""
+    (g, lag), = [key for key, c in bank.index.items() if c == col]
     if g >= bank.y0:
         assert g - bank.y0 == output
         return f"-y(k-{lag})"
@@ -124,9 +127,30 @@ def test_regressor_and_bank_take_the_same_columns(case):
     assert prob.H.tobytes() == H.tobytes()
     assert prob.y.tobytes() == y.tobytes()
     assert [c.label() for c in prob.column_map] == labels
-    bank = _CompressedBank(data, orders.max_lag, max(c.p for c in orders.channels))
+    # the narrowest bank that holds the regression: outputs up to lag n only
+    bank = _CompressedBank(data, orders.max_lag, max(c.p for c in orders.channels), orders.n)
     assert sorted(_bank_label(bank, c, output) for c in bank.columns(orders, output)) \
         == sorted(labels)
+
+
+def test_powers_are_bitwise_pow_on_integer_data():
+    # inputs on grids of step 2 and 1 around integer operating points: every
+    # running product is exact, so each u^i is u**i bitwise
+    data = preset_oracle_dataset(n_samples=1070)
+    assert np.array_equal(data.inputs, np.round(data.inputs))
+    # the rows of a bank of 4 powers of both inputs and both outputs at lags
+    # 0..18, from row 18
+    signals = [(g, range(19)) for g in range(10)]
+    block = lagged_columns(data, [4, 4], signals, 18, 0, 1052)
+    Z = [data.inputs[:, j] ** i for j in range(2) for i in range(1, 5)] + list(-data.outputs.T)
+    want = np.column_stack([z[18 - lag:1070 - lag] for z in Z for lag in range(19)])
+    assert block.tobytes(order="F") == want.tobytes(order="F")
+    # elsewhere u^i carries i - 1 roundings against pow's one
+    u = np.random.default_rng(3).normal(size=(1070, 1))
+    data = Dataset(1.0, u, data.outputs[:, :1], ("u",), ("y",))
+    block = lagged_columns(data, [4], [(g, range(1)) for g in range(4)], 0, 0, 1070)
+    want = np.column_stack([u[:, 0] ** i for i in range(1, 5)])
+    np.testing.assert_allclose(block, want, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestBuildRegressor:

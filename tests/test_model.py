@@ -49,6 +49,20 @@ class TestNonlinearity:
         expected = u + 0.5 * u**2 - 0.1 * u**3
         np.testing.assert_allclose(eval_nonlinearity(f, u), expected)
 
+    def test_powers_bitwise_pow_on_integer_inputs(self):
+        # a running power is exact on integer-valued deviations, such as
+        # every grid of step 1 or 2 around an integer operating point; on
+        # other inputs it differs from ** in the last bits only
+        f = StaticNonlinearity((0.115034, 0.133773, -0.02614))
+        u = np.arange(-20.0, 21.0)
+        want = u.copy()
+        for i, r in enumerate(f.coeffs, start=2):
+            want = want + r * u**i
+        assert eval_nonlinearity(f, u).tobytes() == want.tobytes()
+        u = np.linspace(-2.3, 2.9, 101)
+        np.testing.assert_allclose(eval_nonlinearity(f, u), u + 0.115034 * u**2
+                                   + 0.133773 * u**3 - 0.02614 * u**4, rtol=1e-14, atol=1e-14)
+
     def test_exactly_polynomial(self):
         # finite differences of order p+1 over an arithmetic grid vanish
         f = StaticNonlinearity((0.3, -0.2, 0.05))

@@ -2,11 +2,15 @@ import json
 import re
 import tracemalloc
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import hammid
 from hammid import (
-    Dataset, StageError, estimate, identify, load_config, preprocess, structure, validate,
+    Dataset, RankDeficiencyError, StageError, estimate, gtaw_pool_model, identify, load_config,
+    preprocess, simulate_mimo, structure, validate,
 )
 from hammid.cli import main
 
@@ -45,6 +49,7 @@ def _count_layer_calls(monkeypatch):
         (structure, "fold_bank"),
         (structure, "estimate_delays"),
         (structure, "select_structure"),
+        (structure, "fit_orders"),
         (estimate, "build_regressor"),
         (estimate, "batch_ls"),
         (estimate, "run_rls"),
@@ -70,14 +75,16 @@ def test_layers_called_through_module_attributes(monkeypatch, method):
     calls = _count_layer_calls(monkeypatch)
     cfg = load_config(None) | {"n_train": 350, "estimator": {"method": method, "alpha_sq": 1e6}}
     identify(_oracle(400), cfg)
-    solver = "run_rls" if method == "rls" else "batch_ls"
+    # batch LS of the searched orders is solved from the bank; RLS reads the rows
+    fit = {"rls": {"build_regressor": 2, "run_rls": 2}, "batch": {"fit_orders": 2}}[method]
     assert {name: len(c) for name, c in calls.items()} == {
         "prepare_dataset": 1, "fold_bank": 1, "estimate_delays": 2, "select_structure": 2,
-        "build_regressor": 2, solver: 2, "separate_parameters": 2, "evaluate": 1}
-    # the training rows are folded once: every scan and search scores on that bank
+        **fit, "separate_parameters": 2, "evaluate": 1}
+    # the training rows are folded once: every scan, search and batch fit reads that bank
     (_, _, bank), = calls["fold_bank"]
     for name in ("estimate_delays", "select_structure"):
         assert all(kwargs["bank"] is bank for _, kwargs, _ in calls[name])
+    assert all(args[-1] is bank for args, _, _ in calls.get("fit_orders", []))
 
 
 def test_fixed_orders_fold_no_bank(monkeypatch):
@@ -87,6 +94,31 @@ def test_fixed_orders_fold_no_bank(monkeypatch):
     assert {name: len(c) for name, c in calls.items()} == {
         "prepare_dataset": 1, "build_regressor": 2, "batch_ls": 2, "separate_parameters": 2,
         "evaluate": 1}
+
+
+def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
+    # V_f half of I_p on every sample: each V_f column is an exact multiple
+    # of an I_p one, so the searched orders' regression is rank deficient
+    data = _oracle(400)
+    U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
+    data = replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+    fits = []
+    fit_orders = structure.fit_orders
+    monkeypatch.setattr(structure, "fit_orders",
+                        lambda *args: fits.append(args) or fit_orders(*args))
+    with pytest.raises(StageError) as raised:
+        identify(data, load_config(None) | {"n_train": 350})
+    assert raised.value.stage == "estimate"
+    # named as batch LS names them on the same rows
+    train, orders, s, bank = fits[-1]
+    prob = estimate.build_regressor(train, orders, s)
+    skip = bank.max_lag - orders.max_lag
+    with pytest.raises(RankDeficiencyError) as want:
+        estimate.batch_ls(estimate.RegressionProblem(prob.H[skip:], prob.y[skip:],
+                                                     prob.column_map))
+    assert str(raised.value) == f"estimate: {want.value}"
+    assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
+                                        for dep, ind in want.value.offenders)
 
 
 @pytest.mark.parametrize("method", ["batch", "rls"])

@@ -35,6 +35,7 @@ from hammid.structure import (
     _first_plateau,
     _first_within,
     _nested_losses,
+    fit_orders,
     fold_bank,
 )
 
@@ -226,21 +227,28 @@ class TestNestedLosses:
             _nested_losses(R, 10, [[0, 1], [1, 2]], 3)
 
 
-def _reference_bank(data, max_lag, p):
-    """The bank built one column at a time: signal g at lag l is column
-    g + G l, the signals being u_j^i for every input j and power i <= p,
-    then -y_s for every output s."""
-    N = data.n_samples
-    signals = ([data.inputs[:, j] ** i for j in range(data.n_inputs) for i in range(1, p + 1)]
+def _powers(u, p):
+    """u^1 .. u^p as running products, one per row."""
+    return np.cumprod(np.broadcast_to(u, (p, len(u))), axis=0)
+
+
+def _reference_bank(data, max_lag, p, n_lag):
+    """The bank built one column at a time, lag-major, and the (signal,
+    lag) of each column: the signals are u_j^i for every input j and power
+    i <= p, at lags 0..max_lag, then -y_s for every output s, at lags
+    0..n_lag only."""
+    N, y0 = data.n_samples, data.n_inputs * p
+    signals = ([z for j in range(data.n_inputs) for z in _powers(data.inputs[:, j], p)]
                + [-data.outputs[:, s] for s in range(data.n_outputs)])
-    return np.column_stack([z[max_lag - lag:N - lag] for lag in range(max_lag + 1)
-                            for z in signals])
+    keys = [(g, lag) for lag in range(max_lag + 1) for g in range(len(signals))
+            if g < y0 or lag <= n_lag]
+    return np.column_stack([signals[g][max_lag - lag:N - lag] for g, lag in keys]), keys
 
 
-def _reference_spans(orders, output, bank, col):
-    """Whether output ``output``'s regression at ``orders`` uses bank column
-    ``col``, one column at a time."""
-    lag, g = divmod(col, bank.n_signals)
+def _reference_spans(orders, output, bank, key):
+    """Whether output ``output``'s regression at ``orders`` uses the bank
+    column of (signal, lag) ``key``, one column at a time."""
+    g, lag = key
     if g >= bank.y0:
         return g - bank.y0 == output and 1 <= lag <= orders.n
     ch = orders.channels[g // bank.p]
@@ -253,9 +261,7 @@ def _reference_regressor(data, orders, output, start):
     y = data.outputs[:, output]
     cols = [-y[start - i:N - i] for i in range(1, orders.n + 1)]
     for j, ch in enumerate(orders.channels):
-        u = data.inputs[:, j]
-        for power in range(1, ch.p + 1):
-            up = u**power
+        for up in _powers(data.inputs[:, j], ch.p):
             cols += [up[start - lag:N - lag] for lag in range(ch.d, ch.d + ch.m + 1)]
     return np.column_stack(cols), y[start:N].copy()
 
@@ -281,6 +287,7 @@ def _bank_and_orders(draw):
     orders in and around the bank."""
     n_inputs, n_outputs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     max_lag, p = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    n_lag = draw(st.integers(0, max_lag))
     sub = st.builds(
         StructureOrders,
         n=st.integers(0, max_lag + 1),
@@ -296,7 +303,7 @@ def _bank_and_orders(draw):
     data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=(rows, n_outputs)),
                    tuple(f"u{j}" for j in range(n_inputs)),
                    tuple(f"y{s}" for s in range(n_outputs)))
-    return data, max_lag, p, sweep
+    return data, max_lag, p, n_lag, sweep
 
 
 # the scan at max_lag 10 and the searches at SearchBounds(6, 6, 4) and the
@@ -346,17 +353,23 @@ _SHAPES = {
 class TestCompressedBank:
     @given(_bank_and_orders())
     def test_columns_follow_the_per_column_rule(self, case):
-        data, max_lag, p, sweep = case
-        bank = _CompressedBank(data, max_lag, p)
-        Z = _reference_bank(data, max_lag, p)
+        data, max_lag, p, n_lag, sweep = case
+        bank = _CompressedBank(data, max_lag, p, n_lag)
+        Z, keys = _reference_bank(data, max_lag, p, n_lag)
+        assert bank.index == {key: c for c, key in enumerate(keys)}
         for sub, s in ((sub, s) for sub in sweep for s in range(data.n_outputs)):
+            # a bank never drops a column the orders ask for
             if sub.max_lag > max_lag or max(c.p for c in sub.channels) > p:
-                # a bank never drops a column the orders ask for
                 with pytest.raises(ValueError, match=f"^bank of lags up to {max_lag} and "
                                                      f"powers up to {p} does not cover "):
                     bank.columns(sub, s)
                 continue
-            want = [c for c in range(Z.shape[1]) if _reference_spans(sub, s, bank, c)]
+            if sub.n > n_lag:
+                with pytest.raises(ValueError, match=f"^bank of output lags up to {n_lag} "
+                                                     f"does not cover "):
+                    bank.columns(sub, s)
+                continue
+            want = [c for c, key in enumerate(keys) if _reference_spans(sub, s, bank, key)]
             assert bank.columns(sub, s) == want
             _assert_picks_the_reference_regression(bank, Z, data, sub, s)
 
@@ -371,10 +384,12 @@ class TestCompressedBank:
             assert prob.y.tobytes() == y_ref.tobytes()
             assert prob.H.flags.f_contiguous
             assert prob.H.base is prob.y.base
-        # one bank of 2 inputs x 4 powers and 2 outputs at lags 0..18
+        # one bank of 2 inputs x 4 powers at lags 0..18 and 2 outputs at
+        # lags 0..8, the delay scan's n
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
-        assert (bank.max_lag, bank.p, bank.R.shape) == (18, 4, (190, 190))
-        Z = _reference_bank(data, 18, 4)
+        assert (bank.max_lag, bank.p, bank.n_lag, bank.R.shape) == (18, 4, 8, (170, 170))
+        Z, keys = _reference_bank(data, 18, 4, 8)
+        assert bank.index == {key: c for c, key in enumerate(keys)}
         # the block fold fixes R only up to round-off and the signs of its
         # rows, but R'R is Z'Z
         R = bank.R
@@ -386,7 +401,7 @@ class TestCompressedBank:
 
     def test_at_most_one_block_held(self):
         data = preset_oracle_dataset(n_samples=20_000)
-        block_bytes = _FOLD_ROWS * 190 * 8
+        block_bytes = _FOLD_ROWS * 170 * 8
         # 19 982 rows from row 18: four full blocks and one of 3 598 rows
         assert 4 * _FOLD_ROWS < data.n_samples - 18 < 5 * _FOLD_ROWS
         tracemalloc.start()
@@ -395,10 +410,10 @@ class TestCompressedBank:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert bank.R.shape == (190, 190)
+        assert bank.R.shape == (170, 170)
         # one block of the bank is alive at a time, with the 10 signals it is
-        # cut from (a 19th of it), its finiteness mask (an 8th), R (190^2
-        # doubles, a 14th) and dtpqrt's small T; a peak below one block would
+        # cut from (a 17th of it), its finiteness mask (an 8th), R (170^2
+        # doubles, a 24th) and dtpqrt's small T; a peak below one block would
         # mean tracemalloc missed the block
         assert block_bytes <= peak <= 1.5 * block_bytes
 
@@ -445,7 +460,7 @@ class TestCompressedBank:
         monkeypatch.setattr("hammid.structure.fold_rows", recording_fold)
         data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
-        Z = _reference_bank(data, 18, 4)
+        Z, keys = _reference_bank(data, 18, 4, 8)
         assert [(s, e) for s, e, _ in blocks] == [
             (s, min(s + block_rows, len(Z))) for s in range(0, len(Z), block_rows)]
         for s, e, block in blocks:
@@ -456,9 +471,9 @@ class TestCompressedBank:
         orders = _SCAN_BANK[0]
         for s in range(data.n_outputs):
             prob = build_regressor(data, orders, s)
-            want = [Z[:, bank.n_signals * c.lag + (bank.y0 + s if c.input is None
-                                                   else c.input * bank.p + c.power - 1)]
-                    for c in prob.column_map] + [-Z[:, bank.y0 + s]]
+            want = [Z[:, keys.index((bank.y0 + s if c.input is None
+                                     else c.input * bank.p + c.power - 1, c.lag))]
+                    for c in prob.column_map] + [-Z[:, keys.index((bank.y0 + s, 0))]]
             assert np.column_stack([prob.H, prob.y]).tobytes() == np.column_stack(want).tobytes()
 
     @pytest.mark.parametrize("shape", _SHAPES)
@@ -518,12 +533,13 @@ class TestCompressedBank:
                 call()
 
     def test_needs_more_rows_than_regressors(self):
-        # 2 inputs x 4 powers and 2 outputs at lags 0..18: 190 columns from row 18
+        # 2 inputs x 4 powers at lags 0..18 and 2 outputs at lags 0..8: 170
+        # columns from row 18
         bounds = SearchBounds(6, 6, 4)
-        data = preset_oracle_dataset(n_samples=18 + 190)
-        assert fold_bank(data, 10, bounds).n_rows == 190
-        short = preset_oracle_dataset(n_samples=18 + 189)
-        with pytest.raises(ValueError, match="^series of length 207 too short for 190 bank "
+        data = preset_oracle_dataset(n_samples=18 + 170)
+        assert fold_bank(data, 10, bounds).n_rows == 170
+        short = preset_oracle_dataset(n_samples=18 + 169)
+        with pytest.raises(ValueError, match="^series of length 187 too short for 170 bank "
                                              "columns from row 18$"):
             fold_bank(short, 10, bounds)
 
@@ -532,6 +548,65 @@ class TestCompressedBank:
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
         assert bank.power.tolist() == [float(np.mean(data.outputs[18:, s] ** 2))
                                        for s in range(data.n_outputs)]
+
+
+class TestFitOrders:
+    @pytest.mark.parametrize("n_samples", [1070, 5000])  # 5000: two row blocks
+    def test_matches_batch_ls_over_the_bank_rows(self, n_samples):
+        data = preset_oracle_dataset(n_samples=n_samples, noise_std=0.01)
+        bounds = SearchBounds(6, 6, 4)
+        bank = fold_bank(data, 10, bounds)
+        # the preset's true orders, whose channels differ in p and m, so that
+        # theta's order is not the bank's
+        true = [StructureOrders(5, [ChannelOrders(2, 3, 1), ChannelOrders(4, 5, 1)]),
+                StructureOrders(5, [ChannelOrders(2, 5, 3), ChannelOrders(4, 5, 3)])]
+        for s, delays in enumerate([[1, 1], [3, 3]]):
+            selected = select_structure(data, s, delays, bounds, bank=bank).selected
+            for orders in (selected, true[s]):
+                fit = fit_orders(data, orders, s, bank)
+                prob = build_regressor(data, orders, s)
+                skip = bank.max_lag - orders.max_lag
+                want = batch_ls(RegressionProblem(prob.H[skip:], prob.y[skip:], prob.column_map))
+                assert fit.rank == want.rank == orders.n_parameters
+                assert np.linalg.norm(fit.theta - want.theta) <= \
+                    1e-10 * np.linalg.norm(want.theta)
+                assert fit.condition == pytest.approx(want.condition, rel=1e-10)
+                assert fit.loss == pytest.approx(want.loss, rel=1e-10)
+
+    @pytest.mark.parametrize("n_max, width", [(6, 170), (10, 174)])
+    def test_every_bank_column_is_read(self, monkeypatch, n_max, width):
+        # inputs at lags 0..18 for the scan, outputs at lags 0..max(8, n_max)
+        read = set()
+        indices = _CompressedBank._indices
+
+        def recording(bank, orders, output):
+            cols = indices(bank, orders, output)
+            read.update(cols)
+            return cols
+
+        monkeypatch.setattr(_CompressedBank, "_indices", recording)
+        data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
+        bounds = SearchBounds(n_max, 6, 4)
+        bank = fold_bank(data, 10, bounds)
+        assert bank.R.shape == (width, width)
+        for s in range(data.n_outputs):
+            delays = [e.delay for e in estimate_delays(data, s, 10, bank=bank)]
+            fit_orders(data, select_structure(data, s, delays, bounds, bank=bank).selected,
+                       s, bank)
+        assert read == set(range(width))
+
+    def test_orders_past_the_output_lags_are_refused(self):
+        data = preset_oracle_dataset(n_samples=1070)
+        bank = fold_bank(data, 10)  # the scan's own bank: outputs at lags 0..8
+        assert bank.n_lag == 8
+        assert len(bank.columns(StructureOrders(8, [ChannelOrders(2, 2, 1)] * 2), 0)) == 20
+        orders = StructureOrders(9, [ChannelOrders(2, 2, 1)] * 2)
+        for call in (lambda: bank.columns(orders, 0),
+                     lambda: fit_orders(data, orders, 0, bank),
+                     lambda: select_structure(data, 0, [1, 1], SearchBounds(9, 6, 4),
+                                              bank=bank)):
+            with pytest.raises(ValueError, match="^bank of output lags up to 8 does not cover "):
+                call()
 
 
 class TestDelayEstimation:
@@ -638,13 +713,14 @@ class TestDelayEstimation:
 
     def test_scan_and_search_share_one_too_short_rule(self):
         data = preset_oracle_dataset(n_samples=60)
-        # the scan's own bank at max_lag 10: 2 inputs x 4 powers and 2 outputs
-        # at lags 0..18
-        with pytest.raises(ValueError, match="^series of length 60 too short for 190 bank "
+        # the scan's own bank at max_lag 10: 2 inputs x 4 powers at lags 0..18
+        # and 2 outputs at lags 0..8
+        with pytest.raises(ValueError, match="^series of length 60 too short for 170 bank "
                                              "columns from row 18$"):
             estimate_delays(data, 0, max_lag=10)
-        # the search's own bank at SearchBounds(6, 6, 4) and delays 1, 1: lags 0..7
-        with pytest.raises(ValueError, match="^series of length 60 too short for 80 bank "
+        # the search's own bank at SearchBounds(6, 6, 4) and delays 1, 1:
+        # inputs at lags 0..7 and outputs at lags 0..6
+        with pytest.raises(ValueError, match="^series of length 60 too short for 78 bank "
                                              "columns from row 7$"):
             select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4))
 
