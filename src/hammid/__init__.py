@@ -11,6 +11,7 @@ from .estimate import (
     BatchResult,
     ChannelOrders,
     EstimatorState,
+    LaggedRegression,
     RankDeficiencyError,
     RegressionProblem,
     SeparatedParameters,

@@ -127,7 +127,12 @@ class Column:
 
 @dataclass
 class RegressionProblem:
-    """Regressor matrix H, target vector y, and the meaning of each column."""
+    """Regressor matrix H, target vector y, and the meaning of each column.
+
+    A row source, as :class:`LaggedRegression` is: :meth:`rows` copies a
+    slice of [H y], ``block_rows`` at a time when folded, and :meth:`whole`
+    is the problem itself.
+    """
 
     H: np.ndarray
     y: np.ndarray
@@ -141,6 +146,20 @@ class RegressionProblem:
     def n_columns(self) -> int:
         return self.H.shape[1]
 
+    @property
+    def block_rows(self) -> int:
+        # a copy costs the same in any size, so only one fold slice is copied
+        return _FIT_FOLD_ROWS
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` .. ``stop`` - 1 of [H y] as a fresh Fortran array."""
+        block = np.empty((stop - start, self.n_columns + 1), order="F")
+        block[:, :-1], block[:, -1] = self.H[start:stop], self.y[start:stop]
+        return block
+
+    def whole(self) -> RegressionProblem:
+        return self
+
 
 def regression_signals(orders: StructureOrders) -> list[tuple[int | None, int | None, range]]:
     """The signals of a regression at ``orders``, each with its lags, in
@@ -151,7 +170,7 @@ def regression_signals(orders: StructureOrders) -> list[tuple[int | None, int | 
     The one rule for which lagged signals a regression holds:
     :func:`regression_columns` labels the columns it gives and
     :func:`signal_lags` numbers them for :func:`lagged_columns`, which
-    writes them for :func:`build_regressor` and the structure bank
+    writes them for :class:`LaggedRegression` and the structure bank
     (:mod:`hammid.structure`) alike.
     """
     return [(None, None, range(1, orders.n + 1))] + [
@@ -190,8 +209,9 @@ def lagged_columns(data: Dataset, powers, signals, first: int, start: int,
     then -y_s for each output s, and the column of signal g at lag l holds
     g at sample ``first`` + row - l, 0 <= l <= ``first``.  Only samples
     ``start`` .. ``first`` + ``stop`` - 1 are read, each power taken once.
-    Every regression column is written here: :func:`build_regressor`'s
-    [H y] and each row block of the structure bank (:mod:`hammid.structure`).
+    Every regression column is written here: each row block of a
+    :class:`LaggedRegression`, whole in :func:`build_regressor`, and of the
+    structure bank (:mod:`hammid.structure`).
     """
     u, y = data.inputs[start:first + stop], data.outputs[start:first + stop]
     # signal g is row g, so its windows are contiguous and the gather's
@@ -210,85 +230,138 @@ def lagged_columns(data: Dataset, powers, signals, first: int, start: int,
     return sliding_window_view(Z, stop - start, axis=1)[g, first - lag].T
 
 
-def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
-    """Assemble the regression for one output of a deviation-scale dataset.
+@dataclass(frozen=True, eq=False)
+class LaggedRegression:
+    """The regression of output ``output`` of a deviation-scale dataset at
+    ``orders``, as a row source that never holds its [H y] whole.
 
     Its columns are the lagged :func:`regression_signals` of ``orders``,
-    and ``column_map`` is :func:`regression_columns` of them.  Rows run
+    named by ``column_map``, :func:`regression_columns` of them.  Rows run
     from the orders' largest lag, ``orders.max_lag``, to the end of the
-    data; powers are taken of the stored deviation values.
-
-    [H y] is one :func:`lagged_columns` call over the :func:`signal_lags`
-    of ``orders``, with the target's sign flipped: one Fortran-ordered
-    array with y last, of which ``H`` and ``y`` are views.  LAPACK reads
-    Fortran order, so a QR of [H y] takes that array as it is.  It serves
-    fits at fixed orders and by RLS; the delay scan, the structure search
-    and the batch fit of the searched orders solve on the R factor of one
-    bank whose row blocks the same builder writes (:mod:`hammid.structure`),
-    and build [H y] only to name the columns of a rank-deficient fit.
+    data; powers are taken of the stored deviation values.  :meth:`rows`
+    writes [H y] over a row range as one :func:`lagged_columns` call over
+    the :func:`signal_lags` of ``orders``, with the target's sign flipped:
+    a fresh Fortran array with y last.  A fold asks for ``block_rows`` rows
+    at a time, as many whole ``_FIT_FOLD_ROWS`` slices as ``_FOLD_ROWS``
+    holds, since a builder call costs more per row in smaller blocks.
+    :meth:`whole` is :func:`build_regressor`.
     """
-    if len(orders.channels) != data.n_inputs:
-        raise ValueError(
-            f"orders describe {len(orders.channels)} inputs, dataset has {data.n_inputs}"
-        )
-    if not 0 <= output < data.n_outputs:
-        raise ValueError(f"output index {output} out of range")
-    k0, N = orders.max_lag, data.n_samples
-    if N <= k0:
-        raise ValueError(f"series of length {N} too short for orders needing lag {k0}")
-    powers = [c.p for c in orders.channels]
-    Hy = lagged_columns(data, powers, signal_lags(orders, powers, output), k0, 0, N - k0)
-    Hy[:, -1] *= -1.0
-    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=regression_columns(orders))
+
+    data: Dataset
+    orders: StructureOrders
+    output: int
+
+    def __post_init__(self):
+        data, orders = self.data, self.orders
+        if len(orders.channels) != data.n_inputs:
+            raise ValueError(
+                f"orders describe {len(orders.channels)} inputs, dataset has {data.n_inputs}"
+            )
+        if not 0 <= self.output < data.n_outputs:
+            raise ValueError(f"output index {self.output} out of range")
+        if data.n_samples <= orders.max_lag:
+            raise ValueError(f"series of length {data.n_samples} too short for orders "
+                             f"needing lag {orders.max_lag}")
+
+    @property
+    def n_rows(self) -> int:
+        return self.data.n_samples - self.orders.max_lag
+
+    @property
+    def n_columns(self) -> int:
+        return self.orders.n_parameters
+
+    @property
+    def column_map(self) -> tuple[Column, ...]:
+        return regression_columns(self.orders)
+
+    @property
+    def block_rows(self) -> int:
+        return max(_FOLD_ROWS // _FIT_FOLD_ROWS, 1) * _FIT_FOLD_ROWS
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` .. ``stop`` - 1 of [H y] as a fresh Fortran array."""
+        powers = [c.p for c in self.orders.channels]
+        Hy = lagged_columns(self.data, powers, signal_lags(self.orders, powers, self.output),
+                            self.orders.max_lag, start, stop)
+        Hy[:, -1] *= -1.0
+        return Hy
+
+    def whole(self) -> RegressionProblem:
+        return build_regressor(self.data, self.orders, self.output)
+
+
+def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
+    """Assemble the whole regression for one output of a deviation-scale
+    dataset: every row of :class:`LaggedRegression` at ``orders``, written
+    by one call.
+
+    [H y] is one Fortran-ordered array with y last, of which ``H`` and
+    ``y`` are views.  LAPACK reads Fortran order, so a QR of [H y] takes
+    that array as it is.  Fits never need it whole: at fixed orders and by
+    RLS they fold the rows of a :class:`LaggedRegression`, and the delay
+    scan, the structure search and the batch fit of the searched orders
+    solve on the R factor of one bank whose row blocks the same builder
+    writes (:mod:`hammid.structure`).  Each builds [H y] only to name the
+    columns of a rank-deficient fit.
+    """
+    prob = LaggedRegression(data, orders, output)
+    Hy = prob.rows(0, prob.n_rows)
+    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=prob.column_map)
 
 
 # ---------------------------------------------------------------------------
 # Least squares by one row fold: batch, recursive, and the structure bank
 
-def fold_rows(F: np.ndarray, n_rows: int, rows, block_rows: int | None = None) -> np.ndarray:
+def fold_rows(F: np.ndarray, n_rows: int, rows, block_rows: int | None = None,
+              slice_rows: int | None = None) -> np.ndarray:
     """Fold rows 0 .. ``n_rows`` - 1 of [H y] into F, the upper-triangular
     Fortran R factor [R z; 0 rho] of the rows before them (zero, or a prior).
 
     ``rows(s, e)`` gives rows s .. e - 1 as a Fortran array that the fold
-    may overwrite.  LAPACK's triangular-pentagonal QR ``dtpqrt`` folds them
-    into F ``block_rows`` (default ``_FOLD_ROWS``) at a time (sequential TSQR;
-    Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012), so
-    one block and F are all that is alive.  A row holding NaN or inf is
-    rejected by number.
+    may overwrite; it is asked for ``block_rows`` (default ``_FOLD_ROWS``)
+    at a time.  LAPACK's triangular-pentagonal QR ``dtpqrt`` folds each
+    block into F ``slice_rows`` (default the whole block) at a time
+    (sequential TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 34(1), 2012), so one block and F are all that is alive.  A row
+    holding NaN or inf is rejected by number before its block is folded.
     """
     nb = min(_FOLD_NB, F.shape[0])
     block_rows = block_rows or _FOLD_ROWS
+    slice_rows = slice_rows or block_rows
     for s in range(0, n_rows, block_rows):
         block = rows(s, min(s + block_rows, n_rows))
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite regressor or target in row {s + int(np.argmin(finite))}")
-        F = scipy.linalg.lapack.dtpqrt(0, nb, F, block, overwrite_a=1, overwrite_b=1)[0]
+        for t in range(0, len(block), slice_rows):
+            # a slice of a taller block is not contiguous: dtpqrt folds a copy
+            F = scipy.linalg.lapack.dtpqrt(0, nb, F, block[t:t + slice_rows],
+                                           overwrite_a=1, overwrite_b=1)[0]
         del block  # else it stays alive while the next block is built
     return F
 
 
-def _fold_problem(state: EstimatorState, prob: RegressionProblem) -> np.ndarray:
-    """[R z; 0 rho]: ``state``'s factor with every row of ``prob`` folded in.
+def _fold_problem(state: EstimatorState,
+                  prob: RegressionProblem | LaggedRegression) -> np.ndarray:
+    """[R z; 0 rho]: ``state``'s factor with every row of the row source
+    ``prob`` folded in.
 
     Bierman's square-root information filter (Factorization Methods for
     Discrete Sequential Estimation, 1977): R+'R+ = R'R + H'H and
-    R+'z+ = R'z + H'y, and P is never formed.  The blocks are copies: the
-    fold overwrites them, and ``prob`` is the caller's.
+    R+'z+ = R'z + H'y, and P is never formed.  ``prob`` writes its rows
+    ``prob.block_rows`` at a time and each block is folded
+    ``_FIT_FOLD_ROWS`` at a time, so every source meets the fold in the
+    same slices.
     """
     k = prob.n_columns
     F = np.zeros((k + 1, k + 1), order="F")
     F[:k, :k], F[:k, k] = state.R, state.z
-
-    def rows(s, e):
-        block = np.empty((e - s, k + 1), order="F")
-        block[:, :k], block[:, k] = prob.H[s:e], prob.y[s:e]
-        return block
-
-    return fold_rows(F, prob.n_rows, rows, _FIT_FOLD_ROWS)
+    return fold_rows(F, prob.n_rows, prob.rows, prob.block_rows, _FIT_FOLD_ROWS)
 
 
-def _advance(state: EstimatorState, prob: RegressionProblem) -> EstimatorState:
+def _advance(state: EstimatorState,
+             prob: RegressionProblem | LaggedRegression) -> EstimatorState:
     """``state`` after every row of ``prob``."""
     k, F = prob.n_columns, _fold_problem(state, prob)
     return EstimatorState(F[:k, :k], F[:k, k], state.samples_seen + prob.n_rows)
@@ -340,21 +413,24 @@ def solve_folded(F: np.ndarray, n_rows: int, regression) -> BatchResult:
                        condition=cond)
 
 
-def batch_ls(prob: RegressionProblem) -> BatchResult:
+def batch_ls(prob: RegressionProblem | LaggedRegression) -> BatchResult:
     """Solve min ||y - H theta|| by orthogonal factorization.
 
-    [H y] is folded from zero to [R z; 0 rho], as RLS folds it into its
-    prior, and :func:`solve_folded` solves that factor, as it solves the
-    structure bank's factor of the searched orders
-    (:func:`hammid.structure.fit_orders`).  Fold and solve run on scipy's
-    BLAS, as the structure search does (see :mod:`hammid.structure`), so
-    one OpenBLAS thread pool serves both.
+    ``prob`` is a row source: a :class:`RegressionProblem`, or a
+    :class:`LaggedRegression`, whose [H y] is written a block at a time
+    and never held whole.  [H y] is folded from zero to [R z; 0 rho], as
+    RLS folds it into its prior, and :func:`solve_folded` solves that
+    factor, as it solves the structure bank's factor of the searched
+    orders (:func:`hammid.structure.fit_orders`); ``prob.whole()`` is
+    built only to name the columns of a rank-deficient fit.  Fold and
+    solve run on scipy's BLAS, as the structure search does (see
+    :mod:`hammid.structure`), so one OpenBLAS thread pool serves both.
     """
     k = prob.n_columns
     if k == 0:
         raise ValueError("regression has no columns")
     F = _fold_problem(EstimatorState(np.zeros((k, k)), np.zeros(k)), prob)
-    return solve_folded(F, prob.n_rows, lambda: prob)
+    return solve_folded(F, prob.n_rows, prob.whole)
 
 
 @dataclass
@@ -421,12 +497,16 @@ def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
     return _advance(state, RegressionProblem(phi[None, :], np.array([float(y_k)]), ()))
 
 
-def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
-    """Feed every row of a regression problem through the recursion.
+def run_rls(prob: RegressionProblem | LaggedRegression,
+            alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
+    """Feed every row of a regression's row source, a
+    :class:`RegressionProblem` or a :class:`LaggedRegression`, through the
+    recursion.
 
     The rows are folded into the prior R = I / sqrt(alpha_sq), z = 0 by
-    :func:`fold_rows`, ``_FIT_FOLD_ROWS`` at a time; in exact arithmetic the
-    state equals that of one :func:`rls_update` per row.
+    :func:`fold_rows`, ``_FIT_FOLD_ROWS`` at a time, as :func:`batch_ls`
+    folds them from zero; in exact arithmetic the state equals that of one
+    :func:`rls_update` per row.
     """
     return _advance(init_estimator(prob.n_columns, alpha_sq), prob)
 

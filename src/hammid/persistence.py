@@ -58,6 +58,7 @@ MODEL_SCHEMA_VERSION = 1
 _DATASET_MAGIC = "# hammid dataset v1"
 _SERIES_MAGIC = "# hammid series v1"
 _TRACE_MAGIC = "# hammid trace v1"
+_WRITE_ROWS = 4096  # rows of a text table formatted at a time, not the whole table
 
 
 class FileFormatError(ValueError):
@@ -98,13 +99,18 @@ def _parse_mapping(path, line: int | None, text: str) -> dict:
 
 def _write_table(path, magic: str, meta: dict, names, table) -> None:
     """Write ``magic``, one ``# key: value`` line per ``meta`` item, the
-    ``index,<names>`` header and one ``repr`` row per row of ``table``."""
-    lines = [magic, *(f"# {key}: {value}" for key, value in meta.items()),
-             "index," + ",".join(names)]
+    ``index,<names>`` header and one ``repr`` row per row of ``table``,
+    formatted and written ``_WRITE_ROWS`` rows at a time."""
+    head = [magic, *(f"# {key}: {value}" for key, value in meta.items()),
+            "index," + ",".join(names)]
     table = np.asarray(table, dtype=float)
-    columns = (map(repr, col) for col in table.T.tolist())
-    lines.extend(map(",".join, zip(map(str, range(len(table))), *columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write("\n".join(head) + "\n")
+        for s in range(0, len(table), _WRITE_ROWS):
+            chunk = table[s:s + _WRITE_ROWS]
+            columns = (map(repr, col) for col in chunk.T.tolist())
+            rows = zip(map(str, range(s, s + len(chunk))), *columns)
+            fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def _read_table(path, magic: str):

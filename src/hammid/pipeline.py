@@ -183,10 +183,10 @@ def identify(data: Dataset, cfg: dict) -> Identification:
                 # the searched orders' columns are in the bank: no row is read again
                 fit = structure.fit_orders(train, orders, s, bank)
             else:
-                prob = estimate.build_regressor(train, orders, s)
+                # folded a block of rows at a time: [H y] is never held whole
+                prob = estimate.LaggedRegression(train, orders, s)
                 fit = (estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]) if method == "rls"
                        else estimate.batch_ls(prob))
-                del prob  # else it is alive while the next output's regression is built
             per_output.append((orders, estimate.separate_parameters(fit.theta, orders)))
         model = estimate.assemble_model(
             per_output, data.input_names, data.output_names, operating_point=offsets,

@@ -51,6 +51,7 @@ def _count_layer_calls(monkeypatch):
         (structure, "select_structure"),
         (structure, "fit_orders"),
         (estimate, "build_regressor"),
+        (estimate, "LaggedRegression"),
         (estimate, "batch_ls"),
         (estimate, "run_rls"),
         (estimate, "separate_parameters"),
@@ -75,8 +76,9 @@ def test_layers_called_through_module_attributes(monkeypatch, method):
     calls = _count_layer_calls(monkeypatch)
     cfg = load_config(None) | {"n_train": 350, "estimator": {"method": method, "alpha_sq": 1e6}}
     identify(_oracle(400), cfg)
-    # batch LS of the searched orders is solved from the bank; RLS reads the rows
-    fit = {"rls": {"build_regressor": 2, "run_rls": 2}, "batch": {"fit_orders": 2}}[method]
+    # batch LS of the searched orders is solved from the bank; RLS folds the
+    # rows of a row source, and no whole regression is built
+    fit = {"rls": {"LaggedRegression": 2, "run_rls": 2}, "batch": {"fit_orders": 2}}[method]
     assert {name: len(c) for name, c in calls.items()} == {
         "prepare_dataset": 1, "fold_bank": 1, "estimate_delays": 2, "select_structure": 2,
         **fit, "separate_parameters": 2, "evaluate": 1}
@@ -92,8 +94,56 @@ def test_fixed_orders_fold_no_bank(monkeypatch):
     orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
     identify(_oracle(400), load_config(None) | {"n_train": 350, "fixed_orders": orders})
     assert {name: len(c) for name, c in calls.items()} == {
-        "prepare_dataset": 1, "build_regressor": 2, "batch_ls": 2, "separate_parameters": 2,
+        "prepare_dataset": 1, "LaggedRegression": 2, "batch_ls": 2, "separate_parameters": 2,
         "evaluate": 1}
+    # each fit reads the row source the pipeline made for it
+    sources = [result for _, _, result in calls["LaggedRegression"]]
+    assert [args[0] for args, _, _ in calls["batch_ls"]] == sources
+
+
+def test_streamed_fixed_orders_fit_is_the_whole_regression_fit(monkeypatch):
+    # rows on both sides of a fit slice and of a written block: slices of 16
+    # in blocks of 64, in blocks of 48 (the slices that 50 rows hold) and in
+    # blocks of one slice (a block of 8 rows holds none)
+    orders = estimate.StructureOrders(2, [estimate.ChannelOrders(2, 1, 1),
+                                          estimate.ChannelOrders(1, 2, 0)])
+    for fold, fit in [(64, 16), (50, 16), (8, 16)]:
+        monkeypatch.setattr("hammid.estimate._FOLD_ROWS", fold)
+        monkeypatch.setattr("hammid.estimate._FIT_FOLD_ROWS", fit)
+        for rows in (15, 16, 17, 47, 48, 49, 63, 64, 65):
+            data = preset_oracle_dataset(n_samples=rows + 2, noise_std=0.01)
+            for s in (0, 1):
+                source = estimate.LaggedRegression(data, orders, s)
+                whole = estimate.build_regressor(data, orders, s)
+                assert (source.n_rows, source.n_columns) == (whole.n_rows, whole.n_columns)
+                assert source.column_map == whole.column_map
+                case = (fold, fit, rows, s)
+                assert (estimate.batch_ls(source).theta.tobytes()
+                        == estimate.batch_ls(whole).theta.tobytes()), case
+                got, want = estimate.run_rls(source), estimate.run_rls(whole)
+                assert got.R.tobytes() == want.R.tobytes(), case
+                assert got.z.tobytes() == want.z.tobytes(), case
+                assert got.samples_seen == want.samples_seen == rows
+    monkeypatch.undo()
+
+    # V_f half of I_p: at fixed orders the streamed batch fit is rank deficient,
+    # and names its columns as batch LS of the whole regression does
+    data = _oracle(400)
+    U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
+    data = replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+    sources = []
+    batch_ls = estimate.batch_ls
+    monkeypatch.setattr(estimate, "batch_ls", lambda prob: sources.append(prob) or batch_ls(prob))
+    fixed = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
+    with pytest.raises(StageError) as raised:
+        identify(data, load_config(None) | {"n_train": 350, "fixed_orders": fixed})
+    source, = sources
+    assert isinstance(source, estimate.LaggedRegression)
+    with pytest.raises(RankDeficiencyError) as want:
+        batch_ls(estimate.build_regressor(source.data, source.orders, source.output))
+    assert str(raised.value) == f"estimate: {want.value}"
+    assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
+                                        for dep, ind in want.value.offenders)
 
 
 def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
@@ -123,15 +173,17 @@ def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
 
 @pytest.mark.parametrize("method", ["batch", "rls"])
 def test_one_regression_alive_at_a_time(method):
-    # at fixed orders no bank is folded, and each output's [H y] is the
-    # largest array of the identify: 17 994 x 30 and 17 992 x 54 doubles
+    # at fixed orders no bank is folded, and each output's [H y], 17 994 x 30
+    # and 17 992 x 54 doubles, is folded a block of rows at a time
     orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
     cfg = load_config(None) | {"n_train": 18_000, "fixed_orders": orders,
                                "estimator": {"method": method,
                                              "alpha_sq": estimate.DEFAULT_ALPHA_SQ}}
-    sizes = [(18_000 - o.max_lag) * (o.n_parameters + 1) * 8 for o in (
+    widths = [(o.max_lag, (o.n_parameters + 1) * 8) for o in (
         estimate.StructureOrders(e["n"], [estimate.ChannelOrders(**c) for c in e["channels"]])
         for e in orders)]
+    sizes = [(18_000 - lag) * width for lag, width in widths]
+    block = estimate._FOLD_ROWS * max(width for _, width in widths)
     data = _oracle(20_000)
     tracemalloc.start()
     try:
@@ -139,9 +191,9 @@ def test_one_regression_alive_at_a_time(method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # both regressions alive at once would need their sum; a peak below the
-    # larger one would mean tracemalloc missed it
-    assert max(sizes) <= peak < sum(sizes)
+    # the whole of either regression would exceed the smaller one; a peak
+    # below one written block of the wider would mean tracemalloc missed it
+    assert block <= peak < min(sizes)
 
 
 def test_unknown_method_rejected_before_any_work(monkeypatch):
