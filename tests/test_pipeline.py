@@ -41,6 +41,14 @@ def test_identify_matches_cli_model_file(tmp_path):
     assert (tmp_path / "library.json").read_bytes() == (tmp_path / "out" / "model.json").read_bytes()
 
 
+def _collinear_oracle(n_samples):
+    """V_f half of I_p on every sample: each V_f column of a regression is an
+    exact multiple of an I_p one."""
+    data = _oracle(n_samples)
+    U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
+    return replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+
+
 def _count_layer_calls(monkeypatch):
     """Wrap every layer at its module attribute, as a tracer does; the
     returned dict maps each layer to the (args, kwargs, result) of its calls."""
@@ -126,11 +134,9 @@ def test_streamed_fixed_orders_fit_is_the_whole_regression_fit(monkeypatch):
                 assert got.samples_seen == want.samples_seen == rows
     monkeypatch.undo()
 
-    # V_f half of I_p: at fixed orders the streamed batch fit is rank deficient,
-    # and names its columns as batch LS of the whole regression does
-    data = _oracle(400)
-    U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
-    data = replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+    # at fixed orders the streamed batch fit is rank deficient, and names its
+    # columns as batch LS of the whole regression does
+    data = _collinear_oracle(400)
     sources = []
     batch_ls = estimate.batch_ls
     monkeypatch.setattr(estimate, "batch_ls", lambda prob: sources.append(prob) or batch_ls(prob))
@@ -147,11 +153,8 @@ def test_streamed_fixed_orders_fit_is_the_whole_regression_fit(monkeypatch):
 
 
 def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
-    # V_f half of I_p on every sample: each V_f column is an exact multiple
-    # of an I_p one, so the searched orders' regression is rank deficient
-    data = _oracle(400)
-    U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
-    data = replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+    # the searched orders' regression is rank deficient
+    data = _collinear_oracle(400)
     fits = []
     fit_orders = structure.fit_orders
     monkeypatch.setattr(structure, "fit_orders",
