@@ -98,9 +98,10 @@ def cmd_simulate(
 def _write_validation(report, output_names, outdir: Path) -> None:
     (outdir / "validation_report.txt").write_text(validate.format_validation_report(report))
     for s, name in enumerate(output_names):
-        (outdir / f"validation_trace_{name}.txt").write_text(
-            validate.format_trace(report, s)
-        )
+        # a block of rows at a time, never the whole trace as one string
+        with open(outdir / f"validation_trace_{name}.txt", "w") as fh:
+            for start in range(0, len(report.actual), persistence._WRITE_ROWS):
+                fh.write(validate.format_trace(report, s, start, start + persistence._WRITE_ROWS))
 
 
 def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> None:

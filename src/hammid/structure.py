@@ -29,25 +29,29 @@ input j's lag-d columns, and the p, n and m sweeps each add one group of
 columns per step.  So each sweep re-orders R's columns, new columns of each
 candidate after the previous candidate's and the output's own column last,
 and re-factors; every candidate's loss is then a tail sum of squares of the
-last column of that factor.  On exact
-data a column may lie in the span of the columns before it; the first such
-column is dropped and the factor re-computed, one column at a time, which
-changes no candidate's span and so no loss.  :func:`augment_columns` is the
-paper's partitioned update of a solution when columns are appended: it
-inverts only the Schur complement of the new columns and gives the same
-solution as a direct solve.
+last column of that factor.  The bank lays out first the input powers that
+every scan candidate holds, so a scan sweep starts with R's own leading
+columns, and only the block behind them is re-factored.  On exact data a
+column may lie in the span of the columns before it; the first such column
+is dropped and only the block behind it re-triangularized, one column at a
+time, which changes no candidate's span and so no loss.
+:func:`augment_columns` is the paper's partitioned update of a solution
+when columns are appended: it inverts only the Schur complement of the new
+columns and gives the same solution as a direct solve.
 
 numpy and scipy may each ship their own OpenBLAS, each with its own thread
 pool, and two pools that spin on the same cores slow each other down.  So
 the delay scan, the order search and the bank's fit factor with
 ``scipy.linalg`` and take long sums as plain numpy reductions: they make no
-numpy BLAS or LAPACK call large enough to thread, and neither does
+numpy BLAS or LAPACK call large enough to thread, neither ``@`` nor
+``np.dot`` on a long vector, and neither does
 :func:`~hammid.estimate.batch_ls`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -118,6 +122,37 @@ def augment_columns(
     return theta_full, J_new
 
 
+def _deflated(R: np.ndarray, order: list[int], target: int, tol: float):
+    """The columns of ``order`` that are kept, and the last column of R',
+    the R factor of R's kept columns in that order with column ``target``
+    last.
+
+    The first t columns of ``order`` that are R's own first t columns,
+    0 .. t - 1, are already triangular and zero below row t: R' keeps R's
+    first t rows, and only the trailing block R[t:, rest + [target]] is
+    factored.  A column whose diagonal entry in R' is at most ``tol`` lies
+    in the span of the columns before it.  The first such column, at
+    position i, is dropped; the columns behind it are then upper Hessenberg
+    from row i, and only that block R'[i:, i + 1:] is re-triangularized,
+    until no column is flagged.  Only the first flagged column may be
+    dropped at a time: unpivoted QR leaves a round-off row behind a
+    dependent column, the diagonal entries after it no longer reveal rank,
+    and independent columns would be flagged too.
+    """
+    order = list(order)
+    t = next((i for i, c in enumerate(order) if i != c), len(order))
+    F = R[:, order + [target]]
+    F[t:, t:] = scipy.linalg.qr(F[t:, t:], mode="r", check_finite=False)[0]
+    while True:
+        dependent = np.flatnonzero(np.abs(np.diag(F))[:len(order)] <= tol)
+        if not dependent.size:
+            return order, F[:, -1]
+        i = dependent[0]
+        del order[i]
+        F = np.delete(F, i, axis=1)
+        F[i:, i:] = scipy.linalg.qr(F[i:, i:], mode="r", check_finite=False)[0]
+
+
 def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.ndarray:
     """Loss J of the regression of column ``target`` on every column set of a
     nested sequence.
@@ -126,20 +161,15 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.n
     ``column_sets`` holds column indices of the bank other than ``target``
     and contains the set before it.  R's columns are re-ordered so that each
     set's new columns follow the previous set's, with r_target last, and
-    re-factored into R'.  For the k columns of a set, the leading k x k
-    block of R' is then the R factor of that regression, and its residual
-    is the tail R'[k:, -1].
+    re-triangularized into R' (:func:`_deflated`).  For the k columns of a
+    set, the leading k x k block of R' is then the R factor of that
+    regression, and its residual is the tail R'[k:, -1].
 
     That holds while the block has full rank.  A column whose diagonal
     entry in R' is at most eps * rows * ||R_S||_F (R_S: R's columns in the
-    sets), or which has no diagonal entry because R' has fewer rows than
-    columns, lies in the span of the columns before it, and so in every
-    later set's span.  The first such column is dropped, every set size
-    that counted it goes down by one, and R is re-factored, until no column
-    is flagged.  Only the first flagged column may be dropped at a time:
-    unpivoted QR leaves a round-off row behind a dependent column, the
-    diagonal entries after it no longer reveal rank, and independent
-    columns would be flagged too.
+    sets) lies in the span of the columns before it, and so in every later
+    set's span: it is dropped, which changes no set's span, and every set
+    size that counted it goes down by one.
     """
     order: list[int] = []
     sizes = []
@@ -151,17 +181,10 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.n
         sizes.append(len(order))
     R_S = R[:, order]
     tol = np.finfo(float).eps * n_rows * np.sqrt(np.sum(R_S * R_S))
-    while True:
-        Rn = scipy.linalg.qr(R[:, order + [target]], mode="r", check_finite=False)[0]
-        diag = np.abs(np.diag(Rn))[:len(order)]
-        dependent = np.flatnonzero(diag <= tol)
-        i = dependent[0] if dependent.size else len(diag)
-        if i == len(order):
-            break
-        del order[i]
-        sizes = [k - (k > i) for k in sizes]
-    b = Rn[:, -1]
-    return np.array([float(b[k:] @ b[k:]) / n_rows for k in sizes])
+    kept, b = _deflated(R, order, target, tol)
+    kept = set(kept)
+    counted = list(accumulate((c in kept for c in order), initial=0))
+    return np.array([float(b[counted[k]:] @ b[counted[k]:]) / n_rows for k in sizes])
 
 
 class _CompressedBank:
@@ -171,10 +194,16 @@ class _CompressedBank:
     The bank is block-Hankel: the signals of
     :func:`~hammid.estimate.lagged_columns` at ``p`` powers of every input
     (u_j^i for every input j and power i <= ``p``, then -y_s for every
-    output s), lag-major, over the rows from sample ``max_lag`` on.  Input
-    powers are held at lags 0 .. ``max_lag`` and outputs only at lags
-    0 .. ``n_lag``, the largest output lag any of its regressions reads.  Output s's regressions take its -y_s column at lag
-    0 as target and a subset of the other columns as regressors;
+    output s), over the rows from sample ``max_lag`` on.  Input powers are
+    held at lags 0 .. ``max_lag`` and outputs only at lags 0 .. ``n_lag``,
+    the largest output lag any of its regressions reads.  The input powers
+    at lags ``lead_lag`` .. ``max_lag``, which every delay-scan candidate
+    holds when ``lead_lag`` is the scan's ``max_lag``, come first; every
+    other column follows, lag-major.  So each scan sweep starts with R's
+    own leading columns, which :func:`_nested_losses` leaves as they are.
+    By default ``lead_lag`` is past ``max_lag`` and the whole bank is
+    lag-major.  Output s's regressions take its -y_s column at lag 0 as
+    target and a subset of the other columns as regressors;
     ||z_t - Z_S theta|| equals ||r_t - R_S theta||, so each is solved on R
     alone.  A dataset without input series has no regression to search.
 
@@ -185,31 +214,36 @@ class _CompressedBank:
 
     Z is never whole: each block of rows is one ``lagged_columns`` call,
     and :func:`~hammid.estimate.fold_rows` folds it into R from zero, so one
-    block and R are all the bank memory alive.  ``index`` maps each
-    (signal, lag) in :func:`~hammid.estimate.signal_lags`' numbering (u_j^i
-    is signal j p + i - 1 and -y_s signal ``y0`` + s) to its column, built
-    from the list of signals the rows are written from; :meth:`columns`
-    maps a candidate's columns through it.
+    block and R are all the bank memory alive.  ``table[g, lag]`` is the
+    column of signal g at ``lag`` in :func:`~hammid.estimate.signal_lags`'
+    numbering (u_j^i is signal j p + i - 1 and -y_s signal ``y0`` + s), -1
+    where the bank holds none, built from the list of signals the rows are
+    written from; :meth:`columns` and the target of :meth:`losses` go
+    through it.
     """
 
-    def __init__(self, data: Dataset, max_lag: int, p: int, n_lag: int):
+    def __init__(self, data: Dataset, max_lag: int, p: int, n_lag: int,
+                 lead_lag: int | None = None):
         if not data.n_inputs:
             raise ValueError("dataset has no input series")
         L, N, self.p, self.n_lag = max_lag, data.n_samples, p, n_lag
+        lead = L + 1 if lead_lag is None else lead_lag
         self.y0 = data.n_inputs * p
         self.n_signals = self.y0 + data.n_outputs
-        signals = [(g, [lag]) for lag in range(L + 1) for g in range(self.n_signals)
-                   if g < self.y0 or lag <= n_lag]  # lag-major
-        self.index = {(g, lag): c for c, (g, (lag,)) in enumerate(signals)}
-        k = len(signals)
+        keys = ([(g, lag) for lag in range(lead, L + 1) for g in range(self.y0)]
+                + [(g, lag) for lag in range(L + 1) for g in range(self.n_signals)
+                   if (g < self.y0 and lag < lead) or (g >= self.y0 and lag <= n_lag)])
+        k = len(keys)
         if N - L < k:
             raise ValueError(f"series of length {N} too short for {k} bank columns from row {L}")
+        self.table = np.full((self.n_signals, L + 1), -1)
+        self.table[tuple(np.array(keys).T)] = np.arange(k)
         self.max_lag, self.n_rows = L, N - L
         self.power = np.array([np.mean(y[L:] ** 2) for y in data.outputs.T])
         self.R = fold_rows(np.zeros((k, k), order="F"), self.n_rows, lambda s, e: lagged_columns(
-            data, [p] * data.n_inputs, signals, L, s, e))
+            data, [p] * data.n_inputs, [(g, [lag]) for g, lag in keys], L, s, e))
 
-    def _indices(self, orders: StructureOrders, output: int) -> list[int]:
+    def _indices(self, orders: StructureOrders, output: int) -> np.ndarray:
         """Bank columns of output ``output``'s [H y] at ``orders``, in theta's
         order with the target last; a ValueError if the bank does not hold
         them all."""
@@ -221,20 +255,21 @@ class _CompressedBank:
             raise ValueError(f"output index {output} out of range")
         if orders.n > self.n_lag:
             raise ValueError(f"bank of output lags up to {self.n_lag} does not cover {orders}")
-        return [self.index[g, lag] for g, lags in
-                signal_lags(orders, [self.p] * len(orders.channels), output) for lag in lags]
+        return np.concatenate([self.table[g, lags.start:lags.stop] for g, lags in
+                               signal_lags(orders, [self.p] * len(orders.channels), output)])
 
     def columns(self, orders: StructureOrders, output: int) -> list[int]:
         """Indices of the bank columns that output ``output``'s regression at
         ``orders`` uses, ascending; a ValueError if the bank does not hold
         them all."""
-        return sorted(self._indices(orders, output)[:-1])
+        return np.sort(self._indices(orders, output)[:-1]).tolist()
 
     def losses(self, sweep, output: int) -> np.ndarray:
         """J of output ``output`` at each candidate in ``sweep``, a sequence
         of orders each of which spans the bank columns of the one before it."""
         return _nested_losses(self.R, self.n_rows,
-                              [self.columns(orders, output) for orders in sweep], self.y0 + output)
+                              [self.columns(orders, output) for orders in sweep],
+                              int(self.table[self.y0 + output, 0]))
 
     def factor(self, orders: StructureOrders, output: int) -> np.ndarray:
         """[R z; 0 rho], the R factor of output ``output``'s [H y] at
@@ -313,7 +348,10 @@ def fold_bank(data: Dataset, max_lag: int, bounds: SearchBounds | None = None) -
     and, given ``bounds``, its structure search at delays up to ``max_lag``
     and the final fit of the orders it selects (:func:`fit_orders`).  Output
     lags are held up to ``_DELAY_N_FIT`` and ``n_max``, the most that any
-    of these regressions reads.
+    of these regressions reads.  The input powers at lags ``max_lag`` on
+    lead the bank: every scan candidate holds those up to power
+    ``_DELAY_P_FIT`` and lag ``max_lag`` + ``_DELAY_PAD``, which at the
+    default bounds is all of them.
 
     ``max_lag`` is checked first, so a bad value is named before the bank
     is folded."""
@@ -322,7 +360,7 @@ def fold_bank(data: Dataset, max_lag: int, bounds: SearchBounds | None = None) -
     if bounds is not None:
         lag, p, n = (max(lag, bounds.n_max, max_lag + bounds.m_max), max(p, bounds.p_max),
                      max(n, bounds.n_max))
-    return _CompressedBank(data, lag, p, n)
+    return _CompressedBank(data, lag, p, n, lead_lag=max_lag)
 
 
 def estimate_delays(data: Dataset, output: int, max_lag: int, *,

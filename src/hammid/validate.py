@@ -10,6 +10,7 @@ equation, is available as an option.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -162,10 +163,15 @@ def format_validation_report(report: ValidationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_trace(report: ValidationReport, output: int) -> str:
-    """Column-aligned per-sample trace: index, actual, predicted, error."""
-    actual, predicted = report.actual[:, output], report.predicted[:, output]
-    rows = zip(actual.tolist(), predicted.tolist(), (actual - predicted).tolist())
-    return f"index actual predicted error  ({report.outputs[output].name})\n" + "".join(
-        f"{k} {a!r} {p!r} {e!r}\n" for k, (a, p, e) in enumerate(rows)
-    )
+def format_trace(report: ValidationReport, output: int, start: int = 0,
+                 stop: int | None = None) -> str:
+    """Column-aligned per-sample trace: index, actual, predicted, error.
+
+    Rows ``start`` .. ``stop`` - 1 only (by default all), with the header
+    line when ``start`` is 0, so the blocks of a long trace can be written
+    one after another and join to the whole trace."""
+    actual, predicted = report.actual[start:stop, output], report.predicted[start:stop, output]
+    head = f"index actual predicted error  ({report.outputs[output].name})\n" if start == 0 else ""
+    cells = zip(range(start, start + len(actual)), actual.tolist(), predicted.tolist(),
+                (actual - predicted).tolist())
+    return head + ("%d %r %r %r\n" * len(actual)) % tuple(chain.from_iterable(cells))

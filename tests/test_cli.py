@@ -559,6 +559,23 @@ class TestValidateCommand:
         trace = (outdir / "validation_trace_H_f.txt").read_text()
         assert trace.splitlines()[0].startswith("index actual predicted error")
 
+    def test_traces_written_in_blocks_are_the_whole_traces(self, tmp_path, monkeypatch):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        dataset_path = tmp_path / "oracle.csv"
+        _write_oracle_dataset(dataset_path, n_samples=120)
+        texts = []
+        # one block of 120 rows, then 17 blocks of 7 rows and a last one of 1
+        for rows in (4096, 7):
+            monkeypatch.setattr("hammid.persistence._WRITE_ROWS", rows)
+            outdir = tmp_path / f"out-{rows}"
+            assert main(["validate", "--model", str(model_path), "--dataset",
+                         str(dataset_path), "--output-dir", str(outdir)]) == 0
+            texts.append([(outdir / f"validation_trace_{name}.txt").read_bytes()
+                          for name in ("W_b", "H_f")])
+        assert texts[0] == texts[1]
+        assert texts[0][0].count(b"\n") == 121
+
     @pytest.mark.parametrize("flags", [[], ["--one-step-ahead"]], ids=["free-run", "one-step"])
     def test_unstable_model_flagged(self, tmp_path, flags):
         model_path = tmp_path / "m.json"

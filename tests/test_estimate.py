@@ -91,9 +91,9 @@ def _reference_columns(data, orders, output):
 
 
 def _bank_label(bank, col, output):
-    """Label of bank column ``col`` through the bank's (signal, lag) index,
+    """Label of bank column ``col`` through the bank's (signal, lag) table,
     u_j^i being signal j p + i - 1 and -y_s signal y0 + s."""
-    (g, lag), = [key for key, c in bank.index.items() if c == col]
+    (g, lag), = np.argwhere(bank.table == col).tolist()
     if g >= bank.y0:
         assert g - bank.y0 == output
         return f"-y(k-{lag})"

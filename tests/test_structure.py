@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from hammid.structure import (
     _EXACT_FIT_FLOOR,
     AugmentationError,
     _CompressedBank,
+    _deflated,
     _first_plateau,
     _first_within,
     _nested_losses,
@@ -226,23 +228,104 @@ class TestNestedLosses:
         with pytest.raises(ValueError, match="not nested"):
             _nested_losses(R, 10, [[0, 1], [1, 2]], 3)
 
+    @pytest.mark.parametrize("n_samples, noise_std", [
+        (1070, 0.01), (1070, 0.0), (20_000, 0.01), (20_000, 0.0)])
+    def test_deflates_as_a_full_refactor(self, monkeypatch, n_samples, noise_std):
+        # every sweep of the scan and the search on the shared bank
+        calls = []
+
+        def recording(R, order, target, tol):
+            kept, b = _deflated(R, order, target, tol)
+            calls.append((R, list(order), target, tol, kept, b))
+            return kept, b
+
+        monkeypatch.setattr("hammid.structure._deflated", recording)
+        data = preset_oracle_dataset(n_samples=n_samples, noise_std=noise_std)
+        bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
+        outputs = []
+        for s, delays in [(0, [1, 1]), (1, [3, 3])]:
+            estimate_delays(data, s, max_lag=10, bank=bank)
+            # one sweep per input, each from the bank's 72 leading columns
+            assert len(calls) == len(outputs) + 2
+            assert all(order[:72] == list(range(72)) for _, order, *_ in calls[-2:])
+            select_structure(data, s, delays, SearchBounds(6, 6, 4), bank=bank)
+            outputs += [s] * (len(calls) - len(outputs))  # and one per p, n and m
+        assert len(calls) == 2 * (2 + 3)
+        for s, (R, order, target, tol, kept, b) in zip(outputs, calls):
+            want_kept, want_b = _refactored(R, order, target, tol)
+            assert kept == want_kept
+            floor = _EXACT_FIT_FLOOR * bank.power[s]
+            for k in range(len(kept) + 1):
+                J, want = float(b[k:] @ b[k:]), float(want_b[k:] @ want_b[k:])
+                if max(J, want) / bank.n_rows > floor:
+                    assert abs(J - want) <= 1e-12 * max(J, want)
+        dropped = sum(len(order) - len(kept) for _, order, _, _, kept, _ in calls)
+        assert (dropped > 0) == (noise_std == 0.0)
+
+    def test_drops_a_leading_column_of_r(self):
+        # column 2 = column 0 + column 1 lies among R's own leading columns
+        rng = np.random.default_rng(11)
+        Z = rng.normal(size=(40, 7))
+        Z[:, 2] = Z[:, 0] + Z[:, 1]
+        R = np.linalg.qr(Z, mode="r")
+        tol = np.finfo(float).eps * 40 * np.linalg.norm(R[:, :6])
+        kept, b = _deflated(R, list(range(6)), 6, tol)
+        want_kept, want_b = _refactored(R, list(range(6)), 6, tol)
+        assert kept == want_kept == [0, 1, 3, 4, 5]
+        np.testing.assert_allclose(np.cumsum(b[::-1] ** 2), np.cumsum(want_b[::-1] ** 2),
+                                   rtol=1e-12)
+        J = _nested_losses(R, 40, [[0, 1, 2], [0, 1, 2, 3, 4, 5]], 6)
+        for got, cols in zip(J, [[0, 1], [0, 1, 3, 4, 5]]):
+            theta, *_ = np.linalg.lstsq(Z[:, cols], Z[:, 6], rcond=None)
+            r = Z[:, 6] - Z[:, cols] @ theta
+            assert got == pytest.approx(float(r @ r) / 40, rel=1e-12)
+
+
+def _refactored(R, order, target, tol):
+    """The kept columns of ``order`` and the last column of their R factor
+    with ``target``: R[:, order + [target]] re-factored whole after each
+    dropped column, the first whose diagonal entry is at most ``tol``."""
+    order = list(order)
+    while True:
+        F = scipy.linalg.qr(R[:, order + [target]], mode="r")[0]
+        diag = np.abs(np.diag(F))[:len(order)]
+        dependent = np.flatnonzero(diag <= tol)
+        i = dependent[0] if dependent.size else len(diag)
+        if i == len(order):
+            return order, F[:, -1]
+        del order[i]
+
 
 def _powers(u, p):
     """u^1 .. u^p as running products, one per row."""
     return np.cumprod(np.broadcast_to(u, (p, len(u))), axis=0)
 
 
-def _reference_bank(data, max_lag, p, n_lag):
-    """The bank built one column at a time, lag-major, and the (signal,
-    lag) of each column: the signals are u_j^i for every input j and power
-    i <= p, at lags 0..max_lag, then -y_s for every output s, at lags
-    0..n_lag only."""
+def _reference_bank(data, max_lag, p, n_lag, lead_lag=None):
+    """The bank built one column at a time, and the (signal, lag) of each
+    column: the signals are u_j^i for every input j and power i <= p, at
+    lags 0..max_lag, then -y_s for every output s, at lags 0..n_lag only.
+    The input powers at lags lead_lag..max_lag come first, lag-major, and
+    then every other column, lag-major; by default the whole bank is
+    lag-major."""
     N, y0 = data.n_samples, data.n_inputs * p
+    lead = max_lag + 1 if lead_lag is None else lead_lag
     signals = ([z for j in range(data.n_inputs) for z in _powers(data.inputs[:, j], p)]
                + [-data.outputs[:, s] for s in range(data.n_outputs)])
-    keys = [(g, lag) for lag in range(max_lag + 1) for g in range(len(signals))
-            if g < y0 or lag <= n_lag]
+    lag_major = [(g, lag) for lag in range(max_lag + 1) for g in range(len(signals))
+                 if g < y0 or lag <= n_lag]
+    keys = ([(g, lag) for g, lag in lag_major if g < y0 and lag >= lead]
+            + [(g, lag) for g, lag in lag_major if g >= y0 or lag < lead])
     return np.column_stack([signals[g][max_lag - lag:N - lag] for g, lag in keys]), keys
+
+
+def _assert_table(bank, keys):
+    """``bank.table`` maps each (signal, lag) of ``keys`` to its position
+    and holds -1 everywhere else."""
+    want = np.full(bank.table.shape, -1)
+    for c, (g, lag) in enumerate(keys):
+        want[g, lag] = c
+    assert np.array_equal(bank.table, want)
 
 
 def _reference_spans(orders, output, bank, key):
@@ -274,9 +357,10 @@ def _assert_picks_the_reference_regression(bank, Z, data, orders, output):
     index = {Z[:, c].tobytes(): c for c in range(Z.shape[1])}
     cols = [index[H[:, i].tobytes()] for i in range(H.shape[1])]
     assert sorted(cols) == bank.columns(orders, output)
-    assert index[(-y).tobytes()] == bank.y0 + output
+    target = index[(-y).tobytes()]
+    assert target == bank.table[bank.y0 + output, 0]
     A = np.column_stack([H, -y])
-    F = bank.R[:, cols + [bank.y0 + output]]
+    F = bank.R[:, cols + [target]]
     norms = np.linalg.norm(A, axis=0)
     assert np.all(np.abs(F.T @ F - A.T @ A) <= 1e-13 * np.outer(norms, norms))
 
@@ -288,6 +372,7 @@ def _bank_and_orders(draw):
     n_inputs, n_outputs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     max_lag, p = draw(st.integers(0, 5)), draw(st.integers(1, 3))
     n_lag = draw(st.integers(0, max_lag))
+    lead_lag = draw(st.one_of(st.none(), st.integers(0, max_lag + 1)))
     sub = st.builds(
         StructureOrders,
         n=st.integers(0, max_lag + 1),
@@ -303,7 +388,7 @@ def _bank_and_orders(draw):
     data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=(rows, n_outputs)),
                    tuple(f"u{j}" for j in range(n_inputs)),
                    tuple(f"y{s}" for s in range(n_outputs)))
-    return data, max_lag, p, n_lag, sweep
+    return data, max_lag, p, n_lag, lead_lag, sweep
 
 
 # the scan at max_lag 10 and the searches at SearchBounds(6, 6, 4) and the
@@ -353,10 +438,10 @@ _SHAPES = {
 class TestCompressedBank:
     @given(_bank_and_orders())
     def test_columns_follow_the_per_column_rule(self, case):
-        data, max_lag, p, n_lag, sweep = case
-        bank = _CompressedBank(data, max_lag, p, n_lag)
-        Z, keys = _reference_bank(data, max_lag, p, n_lag)
-        assert bank.index == {key: c for c, key in enumerate(keys)}
+        data, max_lag, p, n_lag, lead_lag, sweep = case
+        bank = _CompressedBank(data, max_lag, p, n_lag, lead_lag)
+        Z, keys = _reference_bank(data, max_lag, p, n_lag, lead_lag)
+        _assert_table(bank, keys)
         for sub, s in ((sub, s) for sub in sweep for s in range(data.n_outputs)):
             # a bank never drops a column the orders ask for
             if sub.max_lag > max_lag or max(c.p for c in sub.channels) > p:
@@ -385,11 +470,13 @@ class TestCompressedBank:
             assert prob.H.flags.f_contiguous
             assert prob.H.base is prob.y.base
         # one bank of 2 inputs x 4 powers at lags 0..18 and 2 outputs at
-        # lags 0..8, the delay scan's n
+        # lags 0..8, the delay scan's n; the 72 input powers at lags 10..18,
+        # which every scan candidate at max_lag 10 holds, come first
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
         assert (bank.max_lag, bank.p, bank.n_lag, bank.R.shape) == (18, 4, 8, (170, 170))
-        Z, keys = _reference_bank(data, 18, 4, 8)
-        assert bank.index == {key: c for c, key in enumerate(keys)}
+        Z, keys = _reference_bank(data, 18, 4, 8, lead_lag=10)
+        assert keys[71:73] == [(7, 18), (0, 0)]
+        _assert_table(bank, keys)
         # the block fold fixes R only up to round-off and the signs of its
         # rows, but R'R is Z'Z
         R = bank.R
@@ -460,7 +547,7 @@ class TestCompressedBank:
         monkeypatch.setattr("hammid.structure.fold_rows", recording_fold)
         data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
-        Z, keys = _reference_bank(data, 18, 4, 8)
+        Z, keys = _reference_bank(data, 18, 4, 8, lead_lag=10)
         assert [(s, e) for s, e, _ in blocks] == [
             (s, min(s + block_rows, len(Z))) for s in range(0, len(Z), block_rows)]
         for s, e, block in blocks:
@@ -731,12 +818,15 @@ def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
     # identify path (scan, search, batch LS or RLS) factors and solves on
     # scipy's alone
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg called")
+        raise AssertionError("numpy.linalg or numpy BLAS called")
 
     # 4 982 scan rows: two blocks
     data = preset_oracle_dataset(n_samples=5000, noise_std=noise_std)
     for name in ("qr", "lstsq", "norm"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    # these reach numpy's BLAS too
+    for name in ("dot", "vdot", "inner", "correlate"):
+        monkeypatch.setattr(np, name, refuse)
     for s, delays in [(0, [1, 1]), (1, [3, 3])]:
         assert [e.delay for e in estimate_delays(data, s, max_lag=10)] == delays
         result = select_structure(data, s, delays, SearchBounds(6, 6, 4))
@@ -747,6 +837,32 @@ def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
         theta = run_rls(prob, alpha_sq=1e10).theta
         assert np.sqrt(np.sum((theta - batch.theta) ** 2)) <= \
             1e-6 * np.sqrt(np.sum(batch.theta ** 2))
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.01])
+def test_scan_factors_only_what_its_sweeps_add(monkeypatch, noise_std):
+    # the default bank's first 72 columns, both inputs' four powers at lags
+    # 10..18, are in every scan candidate at max_lag 10 and are never factored
+    # again; on exact data each dropped column re-triangularizes only the
+    # block behind it
+    shapes = []
+    qr = scipy.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    data = preset_oracle_dataset(n_samples=1070, noise_std=noise_std)
+    bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
+    assert bank.R.shape == (170, 170)
+    monkeypatch.setattr("hammid.structure.scipy.linalg.qr", recording)
+    for s in range(data.n_outputs):
+        estimate_delays(data, s, max_lag=10, bank=bank)
+    assert max(rows for rows, _ in shapes) <= 170 - 72
+    if noise_std:
+        assert len(shapes) == 4  # one per output and input
+    else:
+        assert len(shapes) > 4
 
 
 def _reference_walk(losses, threshold, floor):

@@ -219,3 +219,13 @@ class TestFormatting:
             for k in range(20)
         )
         assert format_trace(report, 1) == expected
+
+    def test_trace_blocks_join_to_the_whole_trace(self):
+        data = preset_oracle_dataset(n_samples=20, noise_std=0.05, rng=np.random.default_rng(64))
+        report = evaluate(gtaw_pool_model(), data)
+        whole = format_trace(report, 0)
+        for rows in (1, 7, 20, 64):
+            assert "".join(format_trace(report, 0, s, s + rows)
+                           for s in range(0, 20, rows)) == whole
+        # only the block from row 0 has the header
+        assert format_trace(report, 0, 7, 8) == whole.splitlines(keepends=True)[8]
