@@ -129,14 +129,22 @@ class Column:
 class RegressionProblem:
     """Regressor matrix H, target vector y, and the meaning of each column.
 
+    H is 2-D and y 1-D with H's row count, zero rows included, and
+    ``column_map`` names every column or is empty, when a rank-deficient
+    fit names its columns by position; any other shapes are a ValueError.
     A row source, as :class:`LaggedRegression` is: :meth:`rows` copies a
-    slice of [H y], ``block_rows`` at a time when folded, and :meth:`whole`
-    is the problem itself.
+    slice of [H y], ``block_rows`` at a time when folded.
     """
 
     H: np.ndarray
     y: np.ndarray
     column_map: tuple[Column, ...]
+
+    def __post_init__(self):
+        H, y, labels = np.shape(self.H), np.shape(self.y), len(self.column_map)
+        if len(H) != 2 or y != H[:1] or labels not in (0, H[1]):
+            raise ValueError(f"H of shape {H}, y of shape {y} and {labels} column labels: need "
+                             "a 2-D H, a 1-D y of H's rows and no column label or one per column")
 
     @property
     def n_rows(self) -> int:
@@ -156,9 +164,6 @@ class RegressionProblem:
         block = np.empty((stop - start, self.n_columns + 1), order="F")
         block[:, :-1], block[:, -1] = self.H[start:stop], self.y[start:stop]
         return block
-
-    def whole(self) -> RegressionProblem:
-        return self
 
 
 def regression_signals(orders: StructureOrders) -> list[tuple[int | None, int | None, range]]:
@@ -236,7 +241,8 @@ class LaggedRegression:
     ``orders``, as a row source that never holds its [H y] whole.
 
     Its columns are the lagged :func:`regression_signals` of ``orders``,
-    named by ``column_map``, :func:`regression_columns` of them.  Rows run
+    named by ``column_map``, :func:`regression_columns` of them, which
+    also names the dependent columns of a rank-deficient fit.  Rows run
     from the orders' largest lag, ``orders.max_lag``, to the end of the
     data; powers are taken of the stored deviation values.  :meth:`rows`
     writes [H y] over a row range as one :func:`lagged_columns` call over
@@ -244,7 +250,6 @@ class LaggedRegression:
     a fresh Fortran array with y last.  A fold asks for ``block_rows`` rows
     at a time, as many whole ``_FIT_FOLD_ROWS`` slices as ``_FOLD_ROWS``
     holds, since a builder call costs more per row in smaller blocks.
-    :meth:`whole` is :func:`build_regressor`.
     """
 
     data: Dataset
@@ -287,9 +292,6 @@ class LaggedRegression:
         Hy[:, -1] *= -1.0
         return Hy
 
-    def whole(self) -> RegressionProblem:
-        return build_regressor(self.data, self.orders, self.output)
-
 
 def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
     """Assemble the whole regression for one output of a deviation-scale
@@ -302,8 +304,9 @@ def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> Regr
     RLS they fold the rows of a :class:`LaggedRegression`, and the delay
     scan, the structure search and the batch fit of the searched orders
     solve on the R factor of one bank whose row blocks the same builder
-    writes (:mod:`hammid.structure`).  Each builds [H y] only to name the
-    columns of a rank-deficient fit.
+    writes (:mod:`hammid.structure`).  A rank-deficient fit names its
+    dependent columns from its R factor too, so the package itself never
+    calls this builder: it serves callers that want H and y at hand.
     """
     prob = LaggedRegression(data, orders, output)
     Hy = prob.rows(0, prob.n_rows)
@@ -375,22 +378,35 @@ class BatchResult:
     condition: float
 
 
-def _name_offenders(H: np.ndarray, rank: int, column_map) -> list[tuple[str, str]]:
-    # pivoted QR: pivots beyond the numerical rank are the dependent columns
-    _, _, piv = scipy.linalg.qr(H, mode="economic", pivoting=True)
-    kept, rejected = piv[:rank], piv[rank:]
-    norms = np.linalg.norm(H, axis=0)
+def _name_offenders(R: np.ndarray, rank: int, column_map) -> list[tuple[str, str]]:
+    """(dependent, partner) labels of each column of H beyond the numerical
+    ``rank``, in theta's order, from H's R factor ``R``; columns are named
+    by ``column_map``, or by position when it is empty.
+
+    H = QR with Q orthonormal, so R's columns have H's norms and residual
+    norms, and a pivoted QR of R picks H's pivots: those beyond the rank
+    are the dependent columns.  Each one's partner is the kept column it is
+    most correlated with, read off R's normalized columns since
+    Hn'Hn = Rn'Rn.  Only k x k arrays are touched, by plain reductions.
+    """
+    _, piv = scipy.linalg.qr(R, mode="r", pivoting=True, check_finite=False)
+    kept = piv[:rank]
+    norms = np.sqrt(np.sum(R * R, axis=0))
     norms[norms == 0] = 1.0
-    Hn = H / norms
+    Rn = R / norms
+
+    def label(c):
+        return column_map[c].label() if column_map else f"column {c}"
+
     offenders = []
-    for c in rejected:
-        corr = np.abs(Hn[:, kept].T @ Hn[:, c])
+    for c in np.sort(piv[rank:]):
+        corr = np.abs(np.sum(Rn[:, kept] * Rn[:, [c]], axis=0))
         partner = kept[int(np.argmax(corr))] if len(kept) else c
-        offenders.append((column_map[c].label(), column_map[partner].label()))
+        offenders.append((label(c), label(partner)))
     return offenders
 
 
-def solve_folded(F: np.ndarray, n_rows: int, regression) -> BatchResult:
+def solve_folded(F: np.ndarray, n_rows: int, column_map) -> BatchResult:
     """Solve min ||y - H theta|| from the factor F = [R z; 0 rho] of [H y]
     over ``n_rows`` rows.
 
@@ -398,15 +414,13 @@ def solve_folded(F: np.ndarray, n_rows: int, regression) -> BatchResult:
     H's rank and condition, and the loss is rho^2 / rows.  Raises
     :class:`RankDeficiencyError` when the numerical rank (at the relative
     cutoff ``_BATCH_RCOND``) is below the column count, naming H's
-    dependent columns by ``regression()``, the problem that F factors,
-    which is called only then.
+    dependent columns from R by ``column_map`` (by position when empty).
     """
     k = F.shape[1] - 1
     theta, _, rank, sv = scipy.linalg.lstsq(F[:k, :k], F[:k, k], cond=_BATCH_RCOND,
                                             lapack_driver="gelsd", check_finite=False)
     if rank < k:
-        prob = regression()
-        raise RankDeficiencyError(rank, k, _name_offenders(prob.H, rank, prob.column_map))
+        raise RankDeficiencyError(rank, k, _name_offenders(F[:k, :k], rank, column_map))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     rho = F[k, k]
     return BatchResult(theta=theta, loss=float(rho * rho) / n_rows, rank=int(rank),
@@ -420,17 +434,18 @@ def batch_ls(prob: RegressionProblem | LaggedRegression) -> BatchResult:
     :class:`LaggedRegression`, whose [H y] is written a block at a time
     and never held whole.  [H y] is folded from zero to [R z; 0 rho], as
     RLS folds it into its prior, and :func:`solve_folded` solves that
-    factor, as it solves the structure bank's factor of the searched
-    orders (:func:`hammid.structure.fit_orders`); ``prob.whole()`` is
-    built only to name the columns of a rank-deficient fit.  Fold and
-    solve run on scipy's BLAS, as the structure search does (see
-    :mod:`hammid.structure`), so one OpenBLAS thread pool serves both.
+    factor and names the columns of a rank-deficient fit from it by
+    ``prob.column_map``, as it solves the structure bank's factor of the
+    searched orders (:func:`hammid.structure.fit_orders`): no row is read
+    after the fold.  Fold and solve run on scipy's BLAS, as the structure
+    search does (see :mod:`hammid.structure`), so one OpenBLAS thread pool
+    serves both.
     """
     k = prob.n_columns
     if k == 0:
         raise ValueError("regression has no columns")
     F = _fold_problem(EstimatorState(np.zeros((k, k)), np.zeros(k)), prob)
-    return solve_folded(F, prob.n_rows, prob.whole)
+    return solve_folded(F, prob.n_rows, prob.column_map)
 
 
 @dataclass
@@ -532,10 +547,11 @@ class SeparatedParameters:
 def separate_parameters(theta, orders: StructureOrders) -> SeparatedParameters:
     """Split estimated products r_i*b_l into per-channel factors.
 
-    theta is laid out by :func:`regression_columns`.  The per-channel
-    products form a p x (m+1) matrix M with M[i-1, l] = r_i b_l; its best
-    rank-one factorization (by singular decomposition), scaled so r_1 = 1,
-    gives the nonlinearity and numerator coefficients.
+    theta is laid out by :func:`regression_columns`: a_1..a_n, then one
+    block of p (m+1) products per channel.  A channel's products form a
+    p x (m+1) matrix M with M[i-1, l] = r_i b_l; its best rank-one
+    factorization (by singular decomposition), scaled so r_1 = 1, gives
+    the nonlinearity and numerator coefficients.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (orders.n_parameters,):
@@ -544,9 +560,9 @@ def separate_parameters(theta, orders: StructureOrders) -> SeparatedParameters:
         )
     a = theta[: orders.n].copy()
     channels = []
-    cmap = regression_columns(orders)
-    for j, ch in enumerate(orders.channels):
-        M = theta[[c.input == j for c in cmap]].reshape(ch.p, ch.m + 1)
+    ends = np.cumsum([orders.n] + [ch.p * (ch.m + 1) for ch in orders.channels])
+    for ch, start, stop in zip(orders.channels, ends[:-1], ends[1:]):
+        M = theta[start:stop].reshape(ch.p, ch.m + 1)
         scale = np.linalg.norm(M)
         if scale == 0:
             raise ValueError("channel parameter block is zero; factors indeterminate")

@@ -181,7 +181,7 @@ def identify(data: Dataset, cfg: dict) -> Identification:
         for s, orders in enumerate(orders_list):
             if bank is not None and method == "batch":
                 # the searched orders' columns are in the bank: no row is read again
-                fit = structure.fit_orders(train, orders, s, bank)
+                fit = structure.fit_orders(orders, s, bank)
             else:
                 # folded a block of rows at a time: [H y] is never held whole
                 prob = estimate.LaggedRegression(train, orders, s)

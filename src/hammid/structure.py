@@ -57,7 +57,8 @@ import numpy as np
 import scipy.linalg
 
 from .estimate import (BatchResult, ChannelOrders, RegressionProblem, StructureOrders,
-                       build_regressor, fold_rows, lagged_columns, signal_lags, solve_folded)
+                       fold_rows, lagged_columns, regression_columns, signal_lags,
+                       solve_folded)
 from .model import Dataset
 
 DEFAULT_PLATEAU_THRESHOLD = 0.02
@@ -511,25 +512,18 @@ def select_structure(
     )
 
 
-def fit_orders(data: Dataset, orders: StructureOrders, output: int,
-               bank: _CompressedBank) -> BatchResult:
+def fit_orders(orders: StructureOrders, output: int, bank: _CompressedBank) -> BatchResult:
     """Batch least squares of output ``output`` at ``orders``, solved from
-    the R factor of ``bank``, which must be folded from ``data``.
+    the R factor of ``bank``.
 
     The regression runs over the bank's rows, from its largest lag on: it
     is :func:`~hammid.estimate.batch_ls` of
     :func:`~hammid.estimate.build_regressor` without its first
     ``bank.max_lag - orders.max_lag`` rows, up to round-off, and raises
-    the same :class:`~hammid.estimate.RankDeficiencyError`.  No row of
-    ``data`` is read again unless the regression is rank deficient, when
-    its [H y] is built to name the dependent columns.
+    the same :class:`~hammid.estimate.RankDeficiencyError`, whose columns
+    are named from the same factor.  No training row is read again.
     """
-    def regression():
-        prob = build_regressor(data, orders, output)
-        skip = bank.max_lag - orders.max_lag
-        return RegressionProblem(prob.H[skip:], prob.y[skip:], prob.column_map)
-
-    return solve_folded(bank.factor(orders, output), bank.n_rows, regression)
+    return solve_folded(bank.factor(orders, output), bank.n_rows, regression_columns(orders))
 
 
 def format_search_report(result: StructureSearchResult, output_name: str = "") -> str:

@@ -9,6 +9,7 @@ here on purpose.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from hammid import Dataset, gtaw_pool_model, simulate_mimo
 from hammid.excitation import AmplitudeGrid, generate_excitation
@@ -150,3 +151,24 @@ def param_rel_error(model, reference) -> float:
         est += list(a) + [0.0] * (width - len(a))
         ref += list(b) + [0.0] * (width - len(b))
     return float(np.linalg.norm(np.subtract(est, ref)) / np.linalg.norm(ref))
+
+
+def offenders_from_H(H, rank, column_map=()) -> list[tuple[str, str]]:
+    """Reference naming of a rank-deficient regression, read straight off H:
+    the pivots of a pivoted QR of H beyond ``rank`` are the dependent
+    columns, each paired with the kept column whose normalized H column it
+    is most correlated with.  Labels as the estimator gives them: by
+    ``column_map``, or ``column c`` when it is empty."""
+    _, _, piv = scipy.linalg.qr(H, mode="economic", pivoting=True)
+    kept = piv[:rank]
+    norms = np.sqrt(np.sum(H * H, axis=0))
+    Hn = H / np.where(norms == 0, 1.0, norms)
+
+    def label(c):
+        return column_map[c].label() if column_map else f"column {c}"
+
+    pairs = []
+    for c in piv[rank:]:
+        corr = np.abs(np.sum(Hn[:, kept] * Hn[:, [c]], axis=0))
+        pairs.append((label(c), label(kept[int(np.argmax(corr))] if len(kept) else c)))
+    return pairs

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,11 +22,11 @@ from hammid import (
     separate_parameters,
     simulate_channel,
 )
-from hammid.estimate import (_FIT_FOLD_ROWS, DEFAULT_ALPHA_SQ, RegressionProblem, assemble_model,
-                             lagged_columns)
+from hammid.estimate import (_FIT_FOLD_ROWS, DEFAULT_ALPHA_SQ, Column, RegressionProblem,
+                             assemble_model, lagged_columns)
 from hammid.structure import _CompressedBank
 
-from helpers import expected_preset_theta, preset_oracle_dataset
+from helpers import expected_preset_theta, offenders_from_H, preset_oracle_dataset
 
 
 def _single_channel_dataset(r, b, d, a, u):
@@ -221,8 +222,6 @@ class TestBatchLs:
         assert result.loss < 1e-24
 
     def test_duplicate_column_names_both(self):
-        from hammid.estimate import Column
-
         rng = np.random.default_rng(11)
         col = rng.normal(size=40)
         H = np.column_stack([col, rng.normal(size=40), col])
@@ -237,6 +236,62 @@ class TestBatchLs:
         assert err.value.rank == 2
         message = str(err.value)
         assert "u1^1(k-0)" in message and "u1^1(k-2)" in message
+
+    def test_unlabeled_columns_named_by_position(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(2, 50))
+        prob = RegressionProblem(H=np.column_stack([a, b, a]), y=rng.normal(size=50),
+                                 column_map=())
+        with pytest.raises(RankDeficiencyError) as err:
+            batch_ls(prob)
+        assert err.value.rank == 2
+        # an exact duplicate ties with its twin: either may be the dependent one
+        (pair,) = err.value.offenders
+        assert sorted(pair) == ["column 0", "column 2"]
+
+    @pytest.mark.parametrize("defect", ["zero", "twin", "sum", "duplicate"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_dependent_columns_named_from_R_as_from_H(self, defect, seed):
+        rng = np.random.default_rng(seed)
+        rows, k = int(rng.integers(8, 80)), int(rng.integers(4, 10))
+        H = rng.normal(size=(rows, k)) * rng.uniform(0.1, 10.0, size=k)
+        i, j, l = rng.choice(k, 3, replace=False)
+        # the sum is weighted: in a + b, picking the sum first leaves a and
+        # b with residuals of equal norm, a tie that round-off breaks
+        H[:, i] = {"zero": 0.0, "twin": rng.uniform(0.1, 10.0) * H[:, j],
+                   "sum": 0.5 * H[:, j] + 2.0 * H[:, l], "duplicate": H[:, j]}[defect]
+        cmap = tuple(Column("output_lag", lag) for lag in range(1, k + 1))
+        with pytest.raises(RankDeficiencyError) as err:
+            batch_ls(RegressionProblem(H=H, y=rng.normal(size=rows), column_map=cmap))
+        assert err.value.rank == k - 1
+        want = offenders_from_H(H, k - 1, cmap)
+        if defect == "duplicate":
+            assert sorted(map(sorted, err.value.offenders)) == sorted(map(sorted, want))
+        else:
+            assert sorted(err.value.offenders) == sorted(want)
+
+    def test_offenders_listed_in_column_order(self):
+        rng = np.random.default_rng(14)
+        a, b, c = rng.normal(size=(3, 30))
+        # the larger twin of each pair is kept: columns 0, 1 and 5 are dependent,
+        # whatever order the pivots reject them in
+        H = np.column_stack([a, b, 3.0 * a, c, -2.0 * b, 0.5 * c])
+        cmap = tuple(Column("output_lag", lag) for lag in range(1, 7))
+        with pytest.raises(RankDeficiencyError) as err:
+            batch_ls(RegressionProblem(H=H, y=rng.normal(size=30), column_map=cmap))
+        assert err.value.offenders == [("-y(k-1)", "-y(k-3)"), ("-y(k-2)", "-y(k-5)"),
+                                       ("-y(k-6)", "-y(k-4)")]
+
+    @pytest.mark.parametrize("H, y, labels, shapes", [
+        (np.zeros((50, 3)), np.zeros(40), 0, "H of shape (50, 3), y of shape (40,) and 0"),
+        (np.zeros(50), np.zeros(50), 0, "H of shape (50,), y of shape (50,) and 0"),
+        (np.zeros((50, 3)), np.zeros((50, 1)), 0, "H of shape (50, 3), y of shape (50, 1) and 0"),
+        (np.zeros((50, 3)), np.zeros(50), 2, "H of shape (50, 3), y of shape (50,) and 2"),
+    ])
+    def test_mismatched_shapes_are_refused(self, H, y, labels, shapes):
+        cmap = (Column("output_lag", 1),) * labels
+        with pytest.raises(ValueError, match=rf"^{re.escape(shapes)} column labels: "):
+            RegressionProblem(H=H, y=y, column_map=cmap)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(12)

@@ -14,7 +14,7 @@ from hammid import (
 )
 from hammid.cli import main
 
-from helpers import BAD_SIGNAL_NAMES, preset_oracle_dataset
+from helpers import BAD_SIGNAL_NAMES, offenders_from_H, preset_oracle_dataset
 
 
 def _oracle(n_samples):
@@ -152,18 +152,30 @@ def test_streamed_fixed_orders_fit_is_the_whole_regression_fit(monkeypatch):
                                         for dep, ind in want.value.offenders)
 
 
+def _record_fit_calls(monkeypatch):
+    """Record the arguments of every bank fold, bank fit and batch LS call,
+    including those that raise."""
+    calls = {}
+    for module, attr in [(structure, "fold_bank"), (structure, "fit_orders"),
+                         (estimate, "batch_ls")]:
+        def recorded(*args, _name=attr, _original=getattr(module, attr)):
+            calls.setdefault(_name, []).append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
 def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
     # the searched orders' regression is rank deficient
     data = _collinear_oracle(400)
-    fits = []
-    fit_orders = structure.fit_orders
-    monkeypatch.setattr(structure, "fit_orders",
-                        lambda *args: fits.append(args) or fit_orders(*args))
+    calls = _record_fit_calls(monkeypatch)
     with pytest.raises(StageError) as raised:
         identify(data, load_config(None) | {"n_train": 350})
     assert raised.value.stage == "estimate"
     # named as batch LS names them on the same rows
-    train, orders, s, bank = fits[-1]
+    (train, *_), = calls["fold_bank"]
+    orders, s, bank = calls["fit_orders"][-1]
     prob = estimate.build_regressor(train, orders, s)
     skip = bank.max_lag - orders.max_lag
     with pytest.raises(RankDeficiencyError) as want:
@@ -172,6 +184,34 @@ def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
     assert str(raised.value) == f"estimate: {want.value}"
     assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
                                         for dep, ind in want.value.offenders)
+
+
+@pytest.mark.parametrize("n_samples", [400, 1070])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_collinear_inputs_named_from_R_as_from_H(monkeypatch, n_samples, fixed):
+    # the pairs named from the fit's R factor are those a pivoted QR and the
+    # column correlations of the fit's own rows give
+    fixed_orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2}
+                    for p, d in [(2, 1), (4, 3)]]
+    cfg = load_config(None) | {"n_train": n_samples - 50,
+                               "fixed_orders": fixed_orders if fixed else None}
+    calls = _record_fit_calls(monkeypatch)
+    with pytest.raises(StageError) as raised:
+        identify(_collinear_oracle(n_samples), cfg)
+    got = raised.value.__cause__
+    assert isinstance(got, RankDeficiencyError)
+    if fixed:
+        (source,), = calls["batch_ls"]
+        H = estimate.build_regressor(source.data, source.orders, source.output).H
+        cmap = source.column_map
+    else:
+        (train, *_), = calls["fold_bank"]
+        orders, s, bank = calls["fit_orders"][-1]
+        H = estimate.build_regressor(train, orders, s).H[bank.max_lag - orders.max_lag:]
+        cmap = estimate.regression_columns(orders)
+    want = offenders_from_H(H, got.rank, cmap)
+    assert len(want) == got.n_columns - got.rank
+    assert sorted(got.offenders) == sorted(want)
 
 
 @pytest.mark.parametrize("method", ["batch", "rls"])

@@ -12,6 +12,7 @@ from hammid import (
     Dataset,
     HammersteinChannel,
     LinearDynamics,
+    RankDeficiencyError,
     SearchBounds,
     StaticNonlinearity,
     StructureOrders,
@@ -21,10 +22,12 @@ from hammid import (
     estimate_delay,
     estimate_delays,
     format_search_report,
+    gtaw_pool_model,
     loss_J,
     run_rls,
     select_structure,
     simulate_channel,
+    simulate_mimo,
 )
 from hammid.estimate import _FOLD_ROWS, RegressionProblem, fold_rows
 from hammid.excitation import AmplitudeGrid, generate_excitation
@@ -650,7 +653,7 @@ class TestFitOrders:
         for s, delays in enumerate([[1, 1], [3, 3]]):
             selected = select_structure(data, s, delays, bounds, bank=bank).selected
             for orders in (selected, true[s]):
-                fit = fit_orders(data, orders, s, bank)
+                fit = fit_orders(orders, s, bank)
                 prob = build_regressor(data, orders, s)
                 skip = bank.max_lag - orders.max_lag
                 want = batch_ls(RegressionProblem(prob.H[skip:], prob.y[skip:], prob.column_map))
@@ -678,8 +681,7 @@ class TestFitOrders:
         assert bank.R.shape == (width, width)
         for s in range(data.n_outputs):
             delays = [e.delay for e in estimate_delays(data, s, 10, bank=bank)]
-            fit_orders(data, select_structure(data, s, delays, bounds, bank=bank).selected,
-                       s, bank)
+            fit_orders(select_structure(data, s, delays, bounds, bank=bank).selected, s, bank)
         assert read == set(range(width))
 
     def test_orders_past_the_output_lags_are_refused(self):
@@ -689,7 +691,7 @@ class TestFitOrders:
         assert len(bank.columns(StructureOrders(8, [ChannelOrders(2, 2, 1)] * 2), 0)) == 20
         orders = StructureOrders(9, [ChannelOrders(2, 2, 1)] * 2)
         for call in (lambda: bank.columns(orders, 0),
-                     lambda: fit_orders(data, orders, 0, bank),
+                     lambda: fit_orders(orders, 0, bank),
                      lambda: select_structure(data, 0, [1, 1], SearchBounds(9, 6, 4),
                                               bank=bank)):
             with pytest.raises(ValueError, match="^bank of output lags up to 8 does not cover "):
@@ -837,6 +839,17 @@ def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
         theta = run_rls(prob, alpha_sq=1e10).theta
         assert np.sqrt(np.sum((theta - batch.theta) ** 2)) <= \
             1e-6 * np.sqrt(np.sum(batch.theta ** 2))
+        # a rank-deficient fit names its columns from its R factor alone
+        twin = RegressionProblem(np.column_stack([prob.H, 2.0 * prob.H[:, -1]]), prob.y,
+                                 prob.column_map + prob.column_map[-1:])
+        with pytest.raises(RankDeficiencyError, match=r"dependent columns: u2\^"):
+            batch_ls(twin)
+    # V_f half of I_p: the bank fit of the preset's orders is rank deficient
+    U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
+    collinear = replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+    orders = StructureOrders(5, [ChannelOrders(2, 5, 1)] * 2)
+    with pytest.raises(RankDeficiencyError, match=r"dependent columns: u2\^1\(k-1\) ~ u1\^1"):
+        fit_orders(orders, 0, fold_bank(collinear, 10, SearchBounds(6, 6, 4)))
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.01])
