@@ -11,7 +11,6 @@ from .estimate import (
     BatchResult,
     ChannelOrders,
     EstimatorState,
-    LaggedRegression,
     RankDeficiencyError,
     RegressionProblem,
     SeparatedParameters,

@@ -48,9 +48,9 @@ _BATCH_RCOND = 1e-10  # singular values below this share of the largest count as
 # was no faster than nb 8 at two threads at any block size.
 _FOLD_ROWS = 4096
 _FOLD_NB = 8
-# Rows per block of the final fits: OpenBLAS threads dtpqrt's inner calls from
-# about 1024 rows, and its idle threads then spin on the other core (fixed-rls
-# run_rls: 0.025 s of wall and CPU time at 512, 0.040 s wall, 0.080 s CPU at 4096).
+# Rows per block of an in-memory regression's fit (batch_ls, run_rls): OpenBLAS
+# threads dtpqrt's inner calls from about 1024 rows, and its idle threads then
+# spin on the other core.
 _FIT_FOLD_ROWS = 512
 
 
@@ -132,8 +132,10 @@ class RegressionProblem:
     H is 2-D and y 1-D with H's row count, zero rows included, and
     ``column_map`` names every column or is empty, when a rank-deficient
     fit names its columns by position; any other shapes are a ValueError.
-    A row source, as :class:`LaggedRegression` is: :meth:`rows` copies a
-    slice of [H y], ``block_rows`` at a time when folded.
+    A fit folds it ``_FIT_FOLD_ROWS`` rows at a time, each a copy of that
+    slice of [H y] (:meth:`rows`).  H may be the R factor of a regression
+    and y its z, as RLS from the structure bank takes them: R'R = H'H and
+    R'z = H'y.
     """
 
     H: np.ndarray
@@ -154,11 +156,6 @@ class RegressionProblem:
     def n_columns(self) -> int:
         return self.H.shape[1]
 
-    @property
-    def block_rows(self) -> int:
-        # a copy costs the same in any size, so only one fold slice is copied
-        return _FIT_FOLD_ROWS
-
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start`` .. ``stop`` - 1 of [H y] as a fresh Fortran array."""
         block = np.empty((stop - start, self.n_columns + 1), order="F")
@@ -175,7 +172,7 @@ def regression_signals(orders: StructureOrders) -> list[tuple[int | None, int | 
     The one rule for which lagged signals a regression holds:
     :func:`regression_columns` labels the columns it gives and
     :func:`signal_lags` numbers them for :func:`lagged_columns`, which
-    writes them for :class:`LaggedRegression` and the structure bank
+    writes them for :func:`build_regressor` and the structure bank
     (:mod:`hammid.structure`) alike.
     """
     return [(None, None, range(1, orders.n + 1))] + [
@@ -214,9 +211,9 @@ def lagged_columns(data: Dataset, powers, signals, first: int, start: int,
     then -y_s for each output s, and the column of signal g at lag l holds
     g at sample ``first`` + row - l, 0 <= l <= ``first``.  Only samples
     ``start`` .. ``first`` + ``stop`` - 1 are read, each power taken once.
-    Every regression column is written here: each row block of a
-    :class:`LaggedRegression`, whole in :func:`build_regressor`, and of the
-    structure bank (:mod:`hammid.structure`).
+    Every regression column is written here: whole in
+    :func:`build_regressor`, and each row block of the structure bank
+    (:mod:`hammid.structure`).
     """
     u, y = data.inputs[start:first + stop], data.outputs[start:first + stop]
     # signal g is row g, so its windows are contiguous and the gather's
@@ -235,136 +232,81 @@ def lagged_columns(data: Dataset, powers, signals, first: int, start: int,
     return sliding_window_view(Z, stop - start, axis=1)[g, first - lag].T
 
 
-@dataclass(frozen=True, eq=False)
-class LaggedRegression:
-    """The regression of output ``output`` of a deviation-scale dataset at
-    ``orders``, as a row source that never holds its [H y] whole.
-
-    Its columns are the lagged :func:`regression_signals` of ``orders``,
-    named by ``column_map``, :func:`regression_columns` of them, which
-    also names the dependent columns of a rank-deficient fit.  Rows run
-    from the orders' largest lag, ``orders.max_lag``, to the end of the
-    data; powers are taken of the stored deviation values.  :meth:`rows`
-    writes [H y] over a row range as one :func:`lagged_columns` call over
-    the :func:`signal_lags` of ``orders``, with the target's sign flipped:
-    a fresh Fortran array with y last.  A fold asks for ``block_rows`` rows
-    at a time, as many whole ``_FIT_FOLD_ROWS`` slices as ``_FOLD_ROWS``
-    holds, since a builder call costs more per row in smaller blocks.
-    """
-
-    data: Dataset
-    orders: StructureOrders
-    output: int
-
-    def __post_init__(self):
-        data, orders = self.data, self.orders
-        if len(orders.channels) != data.n_inputs:
-            raise ValueError(
-                f"orders describe {len(orders.channels)} inputs, dataset has {data.n_inputs}"
-            )
-        if not 0 <= self.output < data.n_outputs:
-            raise ValueError(f"output index {self.output} out of range")
-        if data.n_samples <= orders.max_lag:
-            raise ValueError(f"series of length {data.n_samples} too short for orders "
-                             f"needing lag {orders.max_lag}")
-
-    @property
-    def n_rows(self) -> int:
-        return self.data.n_samples - self.orders.max_lag
-
-    @property
-    def n_columns(self) -> int:
-        return self.orders.n_parameters
-
-    @property
-    def column_map(self) -> tuple[Column, ...]:
-        return regression_columns(self.orders)
-
-    @property
-    def block_rows(self) -> int:
-        return max(_FOLD_ROWS // _FIT_FOLD_ROWS, 1) * _FIT_FOLD_ROWS
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start`` .. ``stop`` - 1 of [H y] as a fresh Fortran array."""
-        powers = [c.p for c in self.orders.channels]
-        Hy = lagged_columns(self.data, powers, signal_lags(self.orders, powers, self.output),
-                            self.orders.max_lag, start, stop)
-        Hy[:, -1] *= -1.0
-        return Hy
-
-
 def build_regressor(data: Dataset, orders: StructureOrders, output: int) -> RegressionProblem:
-    """Assemble the whole regression for one output of a deviation-scale
-    dataset: every row of :class:`LaggedRegression` at ``orders``, written
-    by one call.
+    """Assemble the whole regression of output ``output`` of a
+    deviation-scale dataset at ``orders``: its lagged
+    :func:`regression_signals`, named by :func:`regression_columns`, over
+    the rows from the orders' largest lag, ``orders.max_lag``, to the end of
+    the data, written by one :func:`lagged_columns` call over the
+    :func:`signal_lags` of ``orders`` with the target's sign flipped.
+    Powers are taken of the stored deviation values.
 
     [H y] is one Fortran-ordered array with y last, of which ``H`` and
     ``y`` are views.  LAPACK reads Fortran order, so a QR of [H y] takes
-    that array as it is.  Fits never need it whole: at fixed orders and by
-    RLS they fold the rows of a :class:`LaggedRegression`, and the delay
-    scan, the structure search and the batch fit of the searched orders
-    solve on the R factor of one bank whose row blocks the same builder
-    writes (:mod:`hammid.structure`).  A rank-deficient fit names its
-    dependent columns from its R factor too, so the package itself never
-    calls this builder: it serves callers that want H and y at hand.
+    that array as it is.  Fits never need it whole: the delay scan, the
+    structure search and every fit of ``identify``, batch or RLS, at
+    searched or fixed orders, solve on the R factor of one bank whose row
+    blocks the same builder writes (:mod:`hammid.structure`), so the
+    package itself never calls this builder: it serves callers that want
+    H and y at hand.
     """
-    prob = LaggedRegression(data, orders, output)
-    Hy = prob.rows(0, prob.n_rows)
-    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=prob.column_map)
+    if len(orders.channels) != data.n_inputs:
+        raise ValueError(
+            f"orders describe {len(orders.channels)} inputs, dataset has {data.n_inputs}")
+    if not 0 <= output < data.n_outputs:
+        raise ValueError(f"output index {output} out of range")
+    if data.n_samples <= orders.max_lag:
+        raise ValueError(f"series of length {data.n_samples} too short for orders "
+                         f"needing lag {orders.max_lag}")
+    powers = [c.p for c in orders.channels]
+    Hy = lagged_columns(data, powers, signal_lags(orders, powers, output), orders.max_lag, 0,
+                        data.n_samples - orders.max_lag)
+    Hy[:, -1] *= -1.0
+    return RegressionProblem(H=Hy[:, :-1], y=Hy[:, -1], column_map=regression_columns(orders))
 
 
 # ---------------------------------------------------------------------------
 # Least squares by one row fold: batch, recursive, and the structure bank
 
-def fold_rows(F: np.ndarray, n_rows: int, rows, block_rows: int | None = None,
-              slice_rows: int | None = None) -> np.ndarray:
+def fold_rows(F: np.ndarray, n_rows: int, rows, block_rows: int | None = None) -> np.ndarray:
     """Fold rows 0 .. ``n_rows`` - 1 of [H y] into F, the upper-triangular
     Fortran R factor [R z; 0 rho] of the rows before them (zero, or a prior).
 
     ``rows(s, e)`` gives rows s .. e - 1 as a Fortran array that the fold
     may overwrite; it is asked for ``block_rows`` (default ``_FOLD_ROWS``)
     at a time.  LAPACK's triangular-pentagonal QR ``dtpqrt`` folds each
-    block into F ``slice_rows`` (default the whole block) at a time
-    (sequential TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 34(1), 2012), so one block and F are all that is alive.  A row
-    holding NaN or inf is rejected by number before its block is folded.
+    block into F whole (sequential TSQR; Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34(1), 2012), so one block and F are all that is
+    alive.  A row holding NaN or inf is rejected by number before its block
+    is folded.
     """
     nb = min(_FOLD_NB, F.shape[0])
     block_rows = block_rows or _FOLD_ROWS
-    slice_rows = slice_rows or block_rows
     for s in range(0, n_rows, block_rows):
         block = rows(s, min(s + block_rows, n_rows))
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite regressor or target in row {s + int(np.argmin(finite))}")
-        for t in range(0, len(block), slice_rows):
-            # a slice of a taller block is not contiguous: dtpqrt folds a copy
-            F = scipy.linalg.lapack.dtpqrt(0, nb, F, block[t:t + slice_rows],
-                                           overwrite_a=1, overwrite_b=1)[0]
+        F = scipy.linalg.lapack.dtpqrt(0, nb, F, block, overwrite_a=1, overwrite_b=1)[0]
         del block  # else it stays alive while the next block is built
     return F
 
 
-def _fold_problem(state: EstimatorState,
-                  prob: RegressionProblem | LaggedRegression) -> np.ndarray:
-    """[R z; 0 rho]: ``state``'s factor with every row of the row source
-    ``prob`` folded in.
+def _fold_problem(state: EstimatorState, prob: RegressionProblem) -> np.ndarray:
+    """[R z; 0 rho]: ``state``'s factor with every row of ``prob`` folded in.
 
     Bierman's square-root information filter (Factorization Methods for
     Discrete Sequential Estimation, 1977): R+'R+ = R'R + H'H and
-    R+'z+ = R'z + H'y, and P is never formed.  ``prob`` writes its rows
-    ``prob.block_rows`` at a time and each block is folded
-    ``_FIT_FOLD_ROWS`` at a time, so every source meets the fold in the
-    same slices.
+    R+'z+ = R'z + H'y, and P is never formed.  The rows are folded
+    ``_FIT_FOLD_ROWS`` at a time, each block a copy of that slice.
     """
     k = prob.n_columns
     F = np.zeros((k + 1, k + 1), order="F")
     F[:k, :k], F[:k, k] = state.R, state.z
-    return fold_rows(F, prob.n_rows, prob.rows, prob.block_rows, _FIT_FOLD_ROWS)
+    return fold_rows(F, prob.n_rows, prob.rows, _FIT_FOLD_ROWS)
 
 
-def _advance(state: EstimatorState,
-             prob: RegressionProblem | LaggedRegression) -> EstimatorState:
+def _advance(state: EstimatorState, prob: RegressionProblem) -> EstimatorState:
     """``state`` after every row of ``prob``."""
     k, F = prob.n_columns, _fold_problem(state, prob)
     return EstimatorState(F[:k, :k], F[:k, k], state.samples_seen + prob.n_rows)
@@ -427,17 +369,15 @@ def solve_folded(F: np.ndarray, n_rows: int, column_map) -> BatchResult:
                        condition=cond)
 
 
-def batch_ls(prob: RegressionProblem | LaggedRegression) -> BatchResult:
+def batch_ls(prob: RegressionProblem) -> BatchResult:
     """Solve min ||y - H theta|| by orthogonal factorization.
 
-    ``prob`` is a row source: a :class:`RegressionProblem`, or a
-    :class:`LaggedRegression`, whose [H y] is written a block at a time
-    and never held whole.  [H y] is folded from zero to [R z; 0 rho], as
-    RLS folds it into its prior, and :func:`solve_folded` solves that
-    factor and names the columns of a rank-deficient fit from it by
-    ``prob.column_map``, as it solves the structure bank's factor of the
-    searched orders (:func:`hammid.structure.fit_orders`): no row is read
-    after the fold.  Fold and solve run on scipy's BLAS, as the structure
+    [H y] is folded from zero to [R z; 0 rho], a copied block of rows at a
+    time, as RLS folds it into its prior, and :func:`solve_folded` solves
+    that factor and names the columns of a rank-deficient fit from it by
+    ``prob.column_map``, as it solves the structure bank's factor of every
+    fit of ``identify`` (:func:`hammid.structure.fit_orders`): no row is
+    read after the fold.  Fold and solve run on scipy's BLAS, as the structure
     search does (see :mod:`hammid.structure`), so one OpenBLAS thread pool
     serves both.
     """
@@ -512,16 +452,17 @@ def rls_update(state: EstimatorState, phi, y_k: float) -> EstimatorState:
     return _advance(state, RegressionProblem(phi[None, :], np.array([float(y_k)]), ()))
 
 
-def run_rls(prob: RegressionProblem | LaggedRegression,
-            alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
-    """Feed every row of a regression's row source, a
-    :class:`RegressionProblem` or a :class:`LaggedRegression`, through the
-    recursion.
+def run_rls(prob: RegressionProblem, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
+    """Feed every row of a regression through the recursion.
 
     The rows are folded into the prior R = I / sqrt(alpha_sq), z = 0 by
     :func:`fold_rows`, ``_FIT_FOLD_ROWS`` at a time, as :func:`batch_ls`
     folds them from zero; in exact arithmetic the state equals that of one
-    :func:`rls_update` per row.
+    :func:`rls_update` per row.  Folding the k rows [R z] of a regression's
+    R factor in place of its rows gives the same state, since R'R = H'H
+    and R'z = H'y: ``identify`` feeds each output the rows of its factor
+    from the structure bank (:meth:`hammid.structure._CompressedBank.factor`),
+    and ``samples_seen`` then counts those k rows.
     """
     return _advance(init_estimator(prob.n_columns, alpha_sq), prob)
 

@@ -132,15 +132,27 @@ def identify(data: Dataset, cfg: dict) -> Identification:
     """preprocess -> split -> delays -> structure -> estimate -> separate -> validate.
 
     ``cfg`` is a resolved config (see :func:`load_config`).  Failures raise
-    :class:`StageError` labeled with the stage.  A dataset without input or
-    without output series is refused before any work.
+    :class:`StageError` labeled with the stage.  An unknown estimator
+    method, an ``alpha_sq`` <= 0, a ``std_ddof`` other than 0 or 1, and a
+    dataset without input or without output series are refused before any
+    work.  Every fit, batch or RLS, is solved from the R factor of the one
+    bank the structure stage folds: the delay scan's and search's
+    (:func:`structure.fold_bank`), or that of the fixed orders
+    (:func:`structure.fold_orders`).
     """
     with stage("estimate"):
-        method = cfg["estimator"]["method"]
+        method, alpha_sq = cfg["estimator"]["method"], cfg["estimator"]["alpha_sq"]
         if method not in ("batch", "rls"):
             raise ValueError(f"unknown estimator method {method!r}")
+        if alpha_sq <= 0:
+            raise ValueError(f"alpha_sq must be positive, got {alpha_sq}")
         if not data.n_inputs or not data.n_outputs:
             raise ValueError(f"dataset has no {'output' if data.n_inputs else 'input'} series")
+    with stage("validate"):
+        vcfg = cfg["validation"]
+        if vcfg["std_ddof"] not in (0, 1):
+            raise ValueError(f"std_ddof must be 0 (population) or 1 (sample), "
+                             f"got {vcfg['std_ddof']!r}")
 
     with stage("preprocess"):
         deviations, offsets = preprocess.prepare_dataset(data, **cfg["preprocess"])
@@ -169,24 +181,19 @@ def identify(data: Dataset, cfg: dict) -> Identification:
             orders_list = [estimate.StructureOrders(entry["n"], [
                 estimate.ChannelOrders(c["p"], c["m"], c["d"]) for c in entry["channels"]
             ]) for entry in cfg["fixed_orders"]]
-            if len(orders_list) != data.n_outputs:
-                raise ValueError(
-                    f"fixed_orders describe {len(orders_list)} outputs, "
-                    f"dataset has {data.n_outputs}"
-                )
-            bank, searches = None, [None] * data.n_outputs
+            bank, searches = structure.fold_orders(train, orders_list), [None] * data.n_outputs
 
     with stage("estimate"):
         per_output = []
         for s, orders in enumerate(orders_list):
-            if bank is not None and method == "batch":
-                # the searched orders' columns are in the bank: no row is read again
+            # every regression's columns are in the bank: no row is read again
+            if method == "batch":
                 fit = structure.fit_orders(orders, s, bank)
             else:
-                # folded a block of rows at a time: [H y] is never held whole
-                prob = estimate.LaggedRegression(train, orders, s)
-                fit = (estimate.run_rls(prob, cfg["estimator"]["alpha_sq"]) if method == "rls"
-                       else estimate.batch_ls(prob))
+                # RLS folds the rows of the factor [R z] into its prior: R'R = H'H, R'z = H'y
+                F, k = bank.factor(orders, s), orders.n_parameters
+                fit = estimate.run_rls(estimate.RegressionProblem(
+                    F[:k, :k], F[:k, k], estimate.regression_columns(orders)), alpha_sq)
             per_output.append((orders, estimate.separate_parameters(fit.theta, orders)))
         model = estimate.assemble_model(
             per_output, data.input_names, data.output_names, operating_point=offsets,
@@ -194,7 +201,6 @@ def identify(data: Dataset, cfg: dict) -> Identification:
         )
 
     with stage("validate"):
-        vcfg = cfg["validation"]
         report = validate.evaluate(model, test, one_step_ahead=vcfg["one_step_ahead"],
                                    std_ddof=vcfg["std_ddof"])
     return Identification(model=model, searches=tuple(searches), report=report)

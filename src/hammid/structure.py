@@ -13,15 +13,16 @@ degree at the floor or that the next degree no longer improves noticeably.
 Every candidate of the scan, and every candidate of the search, for every
 output, regresses one output over the same row window on a subset of one
 fixed bank of lagged-output and lagged-input-power columns, and so does
-the batch fit of the orders the search selects (:func:`fit_orders`).  The
-bank holds input powers at every lag up to its largest and outputs only up
-to the largest lag some regression reads.  It is compressed to its R
-factor (QR data compression) once per identify (:func:`fold_bank`): it is
-built a block of rows at a time and each block is folded into R, so the
-whole bank is never held, and no training row is read again.  Each block
-comes from the one builder of regression columns,
-:func:`~hammid.estimate.lagged_columns`, which also writes [H y] of a fit
-at fixed orders or by RLS from the orders' ``max_lag`` on, and a
+the fit of the orders the search selects, batch (:func:`fit_orders`) or by
+RLS.  A bank is the union of the columns of a list of regressions, each an
+output at some orders: the scan's and the search's largest for every
+output (:func:`fold_bank`), or the fixed orders of each output
+(:func:`fold_orders`).  It is compressed to its R factor (QR data
+compression) once per identify: it is built a block of rows at a time and
+each block is folded into R, so the whole bank is never held, and no
+training row is read again.  Each block comes from the one builder of
+regression columns, :func:`~hammid.estimate.lagged_columns`, which also
+writes the whole [H y] of :func:`~hammid.estimate.build_regressor`, and a
 candidate's columns are found by the one numbering of both,
 :func:`~hammid.estimate.signal_lags`.  The candidates of one
 sweep are nested: the scan's candidate at d spans the one at d + 1 plus
@@ -154,7 +155,8 @@ def _deflated(R: np.ndarray, order: list[int], target: int, tol: float):
         F[i:, i:] = scipy.linalg.qr(F[i:, i:], mode="r", check_finite=False)[0]
 
 
-def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.ndarray:
+def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int,
+                   sq_norms: np.ndarray) -> np.ndarray:
     """Loss J of the regression of column ``target`` on every column set of a
     nested sequence.
 
@@ -168,9 +170,10 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.n
 
     That holds while the block has full rank.  A column whose diagonal
     entry in R' is at most eps * rows * ||R_S||_F (R_S: R's columns in the
-    sets) lies in the span of the columns before it, and so in every later
-    set's span: it is dropped, which changes no set's span, and every set
-    size that counted it goes down by one.
+    sets, whose squared norms ``sq_norms`` holds for every column of R)
+    lies in the span of the columns before it, and so in every later set's
+    span: it is dropped, which changes no set's span, and every set size
+    that counted it goes down by one.
     """
     order: list[int] = []
     sizes = []
@@ -180,8 +183,7 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.n
             raise ValueError("column sets are not nested")
         order += sorted(cols.difference(order))
         sizes.append(len(order))
-    R_S = R[:, order]
-    tol = np.finfo(float).eps * n_rows * np.sqrt(np.sum(R_S * R_S))
+    tol = np.finfo(float).eps * n_rows * np.sqrt(np.sum(sq_norms[order]))
     kept, b = _deflated(R, order, target, tol)
     kept = set(kept)
     counted = list(accumulate((c in kept for c in order), initial=0))
@@ -189,60 +191,71 @@ def _nested_losses(R: np.ndarray, n_rows: int, column_sets, target: int) -> np.n
 
 
 class _CompressedBank:
-    """R factor of the one bank that holds every regression of the scan and
-    the search, and the final fit of the searched orders, for every output.
+    """R factor of one bank of lagged columns, the union of the columns of
+    ``regressions``, a list of (orders, output): it solves each of them, and
+    any regression on a subset of its columns.
 
     The bank is block-Hankel: the signals of
-    :func:`~hammid.estimate.lagged_columns` at ``p`` powers of every input
-    (u_j^i for every input j and power i <= ``p``, then -y_s for every
-    output s), over the rows from sample ``max_lag`` on.  Input powers are
-    held at lags 0 .. ``max_lag`` and outputs only at lags 0 .. ``n_lag``,
-    the largest output lag any of its regressions reads.  The input powers
+    :func:`~hammid.estimate.lagged_columns` at ``p`` powers of every input,
+    ``p`` the largest power of any of the regressions (u_j^i for every
+    input j and power i <= ``p``, then -y_s for every output s), over the
+    rows from sample ``max_lag``, the regressions' largest lag, on.  It
+    holds a signal at a lag exactly when one of the regressions reads it
+    there (:func:`~hammid.estimate.signal_lags`).  The input powers it holds
     at lags ``lead_lag`` .. ``max_lag``, which every delay-scan candidate
     holds when ``lead_lag`` is the scan's ``max_lag``, come first; every
     other column follows, lag-major.  So each scan sweep starts with R's
     own leading columns, which :func:`_nested_losses` leaves as they are.
-    By default ``lead_lag`` is past ``max_lag`` and the whole bank is
-    lag-major.  Output s's regressions take its -y_s column at lag 0 as
-    target and a subset of the other columns as regressors;
-    ||z_t - Z_S theta|| equals ||r_t - R_S theta||, so each is solved on R
-    alone.  A dataset without input series has no regression to search.
+    Output s's regressions take its -y_s column at lag 0 as target and a
+    subset of the other columns as regressors; ||z_t - Z_S theta|| equals
+    ||r_t - R_S theta||, so each is solved on R alone.  A dataset without
+    input series has no regression to search, and orders of another input
+    count than the dataset's are refused by name.
 
     A series of N samples is too short for a bank of K columns from row L
-    unless N - L >= K: the one length rule of the delay scan and the search.
-    ``power``, the mean square of each output over the bank's rows, scales
-    both stages' loss floors.
+    unless N - L >= K: the one length rule of the delay scan, the search
+    and every fit.  ``power``, the mean square of each output over the
+    bank's rows, scales both stages' loss floors.
 
     Z is never whole: each block of rows is one ``lagged_columns`` call,
     and :func:`~hammid.estimate.fold_rows` folds it into R from zero, so one
     block and R are all the bank memory alive.  ``table[g, lag]`` is the
     column of signal g at ``lag`` in :func:`~hammid.estimate.signal_lags`'
     numbering (u_j^i is signal j p + i - 1 and -y_s signal ``y0`` + s), -1
-    where the bank holds none, built from the list of signals the rows are
-    written from; :meth:`columns` and the target of :meth:`losses` go
-    through it.
+    where the bank holds none; :meth:`columns`, :meth:`factor` and the
+    target of :meth:`losses` go through it.  ``sq_norms`` holds the squared
+    norm of each column of R, which scales every sweep's rank tolerance.
     """
 
-    def __init__(self, data: Dataset, max_lag: int, p: int, n_lag: int,
-                 lead_lag: int | None = None):
+    def __init__(self, data: Dataset, regressions, lead_lag: int | None = None):
         if not data.n_inputs:
             raise ValueError("dataset has no input series")
-        L, N, self.p, self.n_lag = max_lag, data.n_samples, p, n_lag
-        lead = L + 1 if lead_lag is None else lead_lag
-        self.y0 = data.n_inputs * p
+        for orders, _ in regressions:
+            if len(orders.channels) != data.n_inputs:
+                raise ValueError(f"orders describe {len(orders.channels)} inputs, "
+                                 f"dataset has {data.n_inputs}")
+        L = max(orders.max_lag for orders, _ in regressions)
+        self.p = max(c.p for orders, _ in regressions for c in orders.channels)
+        self.y0 = data.n_inputs * self.p
         self.n_signals = self.y0 + data.n_outputs
-        keys = ([(g, lag) for lag in range(lead, L + 1) for g in range(self.y0)]
-                + [(g, lag) for lag in range(L + 1) for g in range(self.n_signals)
-                   if (g < self.y0 and lag < lead) or (g >= self.y0 and lag <= n_lag)])
-        k = len(keys)
+        held = np.zeros((self.n_signals, L + 1), dtype=bool)
+        for orders, output in regressions:
+            for g, lags in signal_lags(orders, [self.p] * data.n_inputs, output):
+                held[g, lags.start:lags.stop] = True
+        g, lag = np.nonzero(held)
+        later = (g >= self.y0) | (lag < (L + 1 if lead_lag is None else lead_lag))
+        order = np.lexsort((g, lag, later))
+        keys = list(zip(g[order], lag[order]))
+        k, N = len(keys), data.n_samples
         if N - L < k:
             raise ValueError(f"series of length {N} too short for {k} bank columns from row {L}")
-        self.table = np.full((self.n_signals, L + 1), -1)
-        self.table[tuple(np.array(keys).T)] = np.arange(k)
+        self.table = np.full(held.shape, -1)
+        self.table[g[order], lag[order]] = np.arange(k)
         self.max_lag, self.n_rows = L, N - L
         self.power = np.array([np.mean(y[L:] ** 2) for y in data.outputs.T])
         self.R = fold_rows(np.zeros((k, k), order="F"), self.n_rows, lambda s, e: lagged_columns(
-            data, [p] * data.n_inputs, [(g, [lag]) for g, lag in keys], L, s, e))
+            data, [self.p] * data.n_inputs, [(g, [lag]) for g, lag in keys], L, s, e))
+        self.sq_norms = np.sum(self.R * self.R, axis=0)
 
     def _indices(self, orders: StructureOrders, output: int) -> np.ndarray:
         """Bank columns of output ``output``'s [H y] at ``orders``, in theta's
@@ -254,10 +267,11 @@ class _CompressedBank:
                              f"does not cover {orders}")
         if not 0 <= output < self.n_signals - self.y0:
             raise ValueError(f"output index {output} out of range")
-        if orders.n > self.n_lag:
-            raise ValueError(f"bank of output lags up to {self.n_lag} does not cover {orders}")
-        return np.concatenate([self.table[g, lags.start:lags.stop] for g, lags in
+        cols = np.concatenate([self.table[g, lags.start:lags.stop] for g, lags in
                                signal_lags(orders, [self.p] * len(orders.channels), output)])
+        if (cols < 0).any():
+            raise ValueError(f"bank does not hold every column of output {output} at {orders}")
+        return cols
 
     def columns(self, orders: StructureOrders, output: int) -> list[int]:
         """Indices of the bank columns that output ``output``'s regression at
@@ -270,7 +284,7 @@ class _CompressedBank:
         of orders each of which spans the bank columns of the one before it."""
         return _nested_losses(self.R, self.n_rows,
                               [self.columns(orders, output) for orders in sweep],
-                              int(self.table[self.y0 + output, 0]))
+                              int(self.table[self.y0 + output, 0]), self.sq_norms)
 
     def factor(self, orders: StructureOrders, output: int) -> np.ndarray:
         """[R z; 0 rho], the R factor of output ``output``'s [H y] at
@@ -347,21 +361,40 @@ def _check_max_lag(data: Dataset, max_lag: int) -> None:
 def fold_bank(data: Dataset, max_lag: int, bounds: SearchBounds | None = None) -> _CompressedBank:
     """Fold the bank that holds every output's delay scan up to ``max_lag``
     and, given ``bounds``, its structure search at delays up to ``max_lag``
-    and the final fit of the orders it selects (:func:`fit_orders`).  Output
-    lags are held up to ``_DELAY_N_FIT`` and ``n_max``, the most that any
-    of these regressions reads.  The input powers at lags ``max_lag`` on
-    lead the bank: every scan candidate holds those up to power
-    ``_DELAY_P_FIT`` and lag ``max_lag`` + ``_DELAY_PAD``, which at the
-    default bounds is all of them.
+    and the fit of the orders it selects (:func:`fit_orders`).  It is the
+    bank of every output's largest scan regression, n ``_DELAY_N_FIT``, p
+    ``_DELAY_P_FIT``, d 0 and m ``max_lag`` + ``_DELAY_PAD``, and given
+    ``bounds``, of its largest search regression, n ``n_max``, p ``p_max``,
+    d 0 and m ``max_lag`` + ``m_max``: 170 columns from row 18 at the
+    defaults.  The input powers at lags ``max_lag`` on lead the bank: every
+    scan candidate holds those up to power ``_DELAY_P_FIT`` and lag
+    ``max_lag`` + ``_DELAY_PAD``, which at the default bounds is all of
+    them.
 
     ``max_lag`` is checked first, so a bad value is named before the bank
     is folded."""
     _check_max_lag(data, max_lag)
-    lag, p, n = max(max_lag + _DELAY_PAD, _DELAY_N_FIT), _DELAY_P_FIT, _DELAY_N_FIT
+    largest = [(_DELAY_N_FIT, _DELAY_P_FIT, max_lag + _DELAY_PAD)]
     if bounds is not None:
-        lag, p, n = (max(lag, bounds.n_max, max_lag + bounds.m_max), max(p, bounds.p_max),
-                     max(n, bounds.n_max))
-    return _CompressedBank(data, lag, p, n, lead_lag=max_lag)
+        largest.append((bounds.n_max, bounds.p_max, max_lag + bounds.m_max))
+    return _CompressedBank(data, [(_uniform_orders(n, m, p, [0] * data.n_inputs), s)
+                                  for n, p, m in largest for s in range(data.n_outputs)],
+                           lead_lag=max_lag)
+
+
+def fold_orders(data: Dataset, orders_list) -> _CompressedBank:
+    """Fold the bank of every output's regression at fixed orders: output s
+    at ``orders_list[s]``, over the rows from the largest of their lags on
+    (row 8 at the preset's true orders, 60 columns).  Its :meth:`factor
+    <_CompressedBank.factor>` gives each output's fit, batch
+    (:func:`fit_orders`) or by RLS.  A list of another length than
+    ``data``'s outputs, orders of another input count than its inputs, and
+    a series too short for the bank are refused by name before any row is
+    folded."""
+    if len(orders_list) != data.n_outputs:
+        raise ValueError(f"fixed_orders describe {len(orders_list)} outputs, "
+                         f"dataset has {data.n_outputs}")
+    return _CompressedBank(data, [(orders, s) for s, orders in enumerate(orders_list)])
 
 
 def estimate_delays(data: Dataset, output: int, max_lag: int, *,
@@ -464,7 +497,8 @@ def select_structure(
     All candidates regress over the bank's rows, from its largest lag on,
     so their losses are comparable; each is a column subset of the bank.
     The identify's shared bank starts at row 18 at the default bounds and
-    ``max_lag``; the bank folded at the bounds and delays alone starts at
+    ``max_lag``; by default the bank is that of the full orders (n_max,
+    m_max, p_max) at ``delays`` alone, which starts at
     max(n_max, max(delays) + m_max).  Sweep order: degree p first (at the
     full dynamic orders), then n (at full m), then m.  Every sweep is scored to
     its bound and every candidate recorded.  p is the smallest degree whose
@@ -474,7 +508,7 @@ def select_structure(
     the way down to round-off.  n and m are the smallest orders whose J lies
     within the plateau threshold (relative) of the sweep's smallest J, or
     below the floor.  Both thresholds must be >= 0.  The candidates are
-    scored on ``bank``, by default one folded at the bounds' orders.
+    scored on ``bank``.
     """
     for name, value in (("plateau_threshold", plateau_threshold),
                         ("convergence_floor", convergence_floor)):
@@ -485,8 +519,8 @@ def select_structure(
         raise ValueError(f"need one delay per input, got {len(delays)}")
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
-    lag = max(bounds.n_max, max(delays, default=0) + bounds.m_max)
-    bank = bank or _CompressedBank(data, lag, bounds.p_max, bounds.n_max)
+    full = _uniform_orders(bounds.n_max, bounds.m_max, bounds.p_max, delays)
+    bank = bank or _CompressedBank(data, [(full, output)])
     floor = convergence_floor * bank.power[output]
     candidates: list[Candidate] = []
 
@@ -514,7 +548,8 @@ def select_structure(
 
 def fit_orders(orders: StructureOrders, output: int, bank: _CompressedBank) -> BatchResult:
     """Batch least squares of output ``output`` at ``orders``, solved from
-    the R factor of ``bank``.
+    the R factor of ``bank``: searched orders from :func:`fold_bank`'s,
+    fixed orders from :func:`fold_orders`'.
 
     The regression runs over the bank's rows, from its largest lag on: it
     is :func:`~hammid.estimate.batch_ls` of

@@ -128,8 +128,8 @@ def test_regressor_and_bank_take_the_same_columns(case):
     assert prob.H.tobytes() == H.tobytes()
     assert prob.y.tobytes() == y.tobytes()
     assert [c.label() for c in prob.column_map] == labels
-    # the narrowest bank that holds the regression: outputs up to lag n only
-    bank = _CompressedBank(data, orders.max_lag, max(c.p for c in orders.channels), orders.n)
+    # the bank of the regression alone
+    bank = _CompressedBank(data, [(orders, output)])
     assert sorted(_bank_label(bank, c, output) for c in bank.columns(orders, output)) \
         == sorted(labels)
 

@@ -55,11 +55,11 @@ def _count_layer_calls(monkeypatch):
     layers = [
         (preprocess, "prepare_dataset"),
         (structure, "fold_bank"),
+        (structure, "fold_orders"),
         (structure, "estimate_delays"),
         (structure, "select_structure"),
         (structure, "fit_orders"),
         (estimate, "build_regressor"),
-        (estimate, "LaggedRegression"),
         (estimate, "batch_ls"),
         (estimate, "run_rls"),
         (estimate, "separate_parameters"),
@@ -78,86 +78,95 @@ def _count_layer_calls(monkeypatch):
     return calls
 
 
+_FIXED = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
+# the preset's true orders: output 0 reads lags up to 6, output 1 up to 8
+_TRUE = [{"n": 5, "channels": [{"p": 2, "m": 3, "d": 1}, {"p": 4, "m": 5, "d": 1}]},
+         {"n": 5, "channels": [{"p": 2, "m": 5, "d": 3}, {"p": 4, "m": 5, "d": 3}]}]
+
+
+def _assert_fits_read_the_bank(calls, method, bank):
+    """Every fit of ``method`` was solved from ``bank``'s factor: a batch fit
+    by ``fit_orders`` on it, an RLS fit on its k rows [R z]."""
+    if method == "batch":
+        assert all(args[-1] is bank for args, _, _ in calls["fit_orders"])
+        return
+    for (prob, _), _, _ in calls["run_rls"]:
+        assert prob.n_rows == prob.n_columns == len(prob.column_map)
+        assert np.array_equal(prob.H, np.triu(prob.H))
+
+
 @pytest.mark.parametrize("method", ["batch", "rls"])
 def test_layers_called_through_module_attributes(monkeypatch, method):
     # wrappers installed on module attributes (as a tracer does) must see every call
     calls = _count_layer_calls(monkeypatch)
     cfg = load_config(None) | {"n_train": 350, "estimator": {"method": method, "alpha_sq": 1e6}}
     identify(_oracle(400), cfg)
-    # batch LS of the searched orders is solved from the bank; RLS folds the
-    # rows of a row source, and no whole regression is built
-    fit = {"rls": {"LaggedRegression": 2, "run_rls": 2}, "batch": {"fit_orders": 2}}[method]
+    # batch LS and RLS of the searched orders are solved from the bank, and
+    # no whole regression is built
+    fit = {"rls": {"run_rls": 2}, "batch": {"fit_orders": 2}}[method]
     assert {name: len(c) for name, c in calls.items()} == {
         "prepare_dataset": 1, "fold_bank": 1, "estimate_delays": 2, "select_structure": 2,
         **fit, "separate_parameters": 2, "evaluate": 1}
-    # the training rows are folded once: every scan, search and batch fit reads that bank
+    # the training rows are folded once: every scan, search and fit reads that bank
     (_, _, bank), = calls["fold_bank"]
     for name in ("estimate_delays", "select_structure"):
         assert all(kwargs["bank"] is bank for _, kwargs, _ in calls[name])
-    assert all(args[-1] is bank for args, _, _ in calls.get("fit_orders", []))
+    _assert_fits_read_the_bank(calls, method, bank)
 
 
-def test_fixed_orders_fold_no_bank(monkeypatch):
+def test_fixed_orders_fold_one_bank(monkeypatch):
     calls = _count_layer_calls(monkeypatch)
-    orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
-    identify(_oracle(400), load_config(None) | {"n_train": 350, "fixed_orders": orders})
-    assert {name: len(c) for name, c in calls.items()} == {
-        "prepare_dataset": 1, "LaggedRegression": 2, "batch_ls": 2, "separate_parameters": 2,
-        "evaluate": 1}
-    # each fit reads the row source the pipeline made for it
-    sources = [result for _, _, result in calls["LaggedRegression"]]
-    assert [args[0] for args, _, _ in calls["batch_ls"]] == sources
+    for method in ("batch", "rls"):
+        calls.clear()
+        identify(_oracle(400), load_config(None) | {
+            "n_train": 350, "fixed_orders": _FIXED,
+            "estimator": {"method": method, "alpha_sq": 1e6}})
+        fit = {"rls": {"run_rls": 2}, "batch": {"fit_orders": 2}}[method]
+        assert {name: len(c) for name, c in calls.items()} == {
+            "prepare_dataset": 1, "fold_orders": 1, **fit, "separate_parameters": 2,
+            "evaluate": 1}
+        # one bank of both outputs' regressions, which every fit reads
+        (_, _, bank), = calls["fold_orders"]
+        assert (bank.max_lag, bank.R.shape) == (8, (68, 68))
+        _assert_fits_read_the_bank(calls, method, bank)
 
 
 def test_streamed_fixed_orders_fit_is_the_whole_regression_fit(monkeypatch):
-    # rows on both sides of a fit slice and of a written block: slices of 16
-    # in blocks of 64, in blocks of 48 (the slices that 50 rows hold) and in
-    # blocks of one slice (a block of 8 rows holds none)
-    orders = estimate.StructureOrders(2, [estimate.ChannelOrders(2, 1, 1),
-                                          estimate.ChannelOrders(1, 2, 0)])
-    for fold, fit in [(64, 16), (50, 16), (8, 16)]:
+    # the fit from the fixed orders' bank is that of the whole regression
+    # without its first bank.max_lag - orders.max_lag rows, batch or by RLS,
+    # with the bank folded in one block and in blocks of 64 rows
+    data = preset_oracle_dataset(n_samples=400, noise_std=0.01)
+    calls = _count_layer_calls(monkeypatch)
+    for fold in (4096, 64):
         monkeypatch.setattr("hammid.estimate._FOLD_ROWS", fold)
-        monkeypatch.setattr("hammid.estimate._FIT_FOLD_ROWS", fit)
-        for rows in (15, 16, 17, 47, 48, 49, 63, 64, 65):
-            data = preset_oracle_dataset(n_samples=rows + 2, noise_std=0.01)
-            for s in (0, 1):
-                source = estimate.LaggedRegression(data, orders, s)
-                whole = estimate.build_regressor(data, orders, s)
-                assert (source.n_rows, source.n_columns) == (whole.n_rows, whole.n_columns)
-                assert source.column_map == whole.column_map
-                case = (fold, fit, rows, s)
-                assert (estimate.batch_ls(source).theta.tobytes()
-                        == estimate.batch_ls(whole).theta.tobytes()), case
-                got, want = estimate.run_rls(source), estimate.run_rls(whole)
-                assert got.R.tobytes() == want.R.tobytes(), case
-                assert got.z.tobytes() == want.z.tobytes(), case
-                assert got.samples_seen == want.samples_seen == rows
-    monkeypatch.undo()
-
-    # at fixed orders the streamed batch fit is rank deficient, and names its
-    # columns as batch LS of the whole regression does
-    data = _collinear_oracle(400)
-    sources = []
-    batch_ls = estimate.batch_ls
-    monkeypatch.setattr(estimate, "batch_ls", lambda prob: sources.append(prob) or batch_ls(prob))
-    fixed = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
-    with pytest.raises(StageError) as raised:
-        identify(data, load_config(None) | {"n_train": 350, "fixed_orders": fixed})
-    source, = sources
-    assert isinstance(source, estimate.LaggedRegression)
-    with pytest.raises(RankDeficiencyError) as want:
-        batch_ls(estimate.build_regressor(source.data, source.orders, source.output))
-    assert str(raised.value) == f"estimate: {want.value}"
-    assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
-                                        for dep, ind in want.value.offenders)
+        for method in ("batch", "rls"):
+            calls.clear()
+            identify(data, load_config(None) | {
+                "n_train": 350, "fixed_orders": _TRUE,
+                "estimator": {"method": method, "alpha_sq": estimate.DEFAULT_ALPHA_SQ}})
+            (train, _), _, bank = calls["fold_orders"][0]
+            assert (bank.max_lag, bank.R.shape) == (8, (60, 60))
+            # a copy: the reference fits below are recorded too
+            fits = list(calls["fit_orders" if method == "batch" else "run_rls"])
+            for s, (_, _, fit) in enumerate(fits):
+                orders = estimate.StructureOrders(_TRUE[s]["n"], [
+                    estimate.ChannelOrders(**c) for c in _TRUE[s]["channels"]])
+                whole = estimate.build_regressor(train, orders, s)
+                skip = bank.max_lag - orders.max_lag
+                assert skip == (2, 0)[s]
+                rows = estimate.RegressionProblem(whole.H[skip:], whole.y[skip:], ())
+                want = (estimate.batch_ls(rows) if method == "batch"
+                        else estimate.run_rls(rows))
+                assert np.linalg.norm(fit.theta - want.theta) <= \
+                    1e-10 * np.linalg.norm(want.theta), (fold, method, s)
 
 
 def _record_fit_calls(monkeypatch):
     """Record the arguments of every bank fold, bank fit and batch LS call,
     including those that raise."""
     calls = {}
-    for module, attr in [(structure, "fold_bank"), (structure, "fit_orders"),
-                         (estimate, "batch_ls")]:
+    for module, attr in [(structure, "fold_bank"), (structure, "fold_orders"),
+                         (structure, "fit_orders")]:
         def recorded(*args, _name=attr, _original=getattr(module, attr)):
             calls.setdefault(_name, []).append(args)
             return _original(*args)
@@ -167,23 +176,25 @@ def _record_fit_calls(monkeypatch):
 
 
 def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
-    # the searched orders' regression is rank deficient
+    # the searched orders' regression, or that of fixed orders, is rank deficient
     data = _collinear_oracle(400)
     calls = _record_fit_calls(monkeypatch)
-    with pytest.raises(StageError) as raised:
-        identify(data, load_config(None) | {"n_train": 350})
-    assert raised.value.stage == "estimate"
-    # named as batch LS names them on the same rows
-    (train, *_), = calls["fold_bank"]
-    orders, s, bank = calls["fit_orders"][-1]
-    prob = estimate.build_regressor(train, orders, s)
-    skip = bank.max_lag - orders.max_lag
-    with pytest.raises(RankDeficiencyError) as want:
-        estimate.batch_ls(estimate.RegressionProblem(prob.H[skip:], prob.y[skip:],
-                                                     prob.column_map))
-    assert str(raised.value) == f"estimate: {want.value}"
-    assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
-                                        for dep, ind in want.value.offenders)
+    for fold, fixed in [("fold_bank", None), ("fold_orders", _FIXED)]:
+        calls.clear()
+        with pytest.raises(StageError) as raised:
+            identify(data, load_config(None) | {"n_train": 350, "fixed_orders": fixed})
+        assert raised.value.stage == "estimate"
+        # named as batch LS names them on the bank's rows
+        (train, *_), = calls[fold]
+        orders, s, bank = calls["fit_orders"][-1]
+        prob = estimate.build_regressor(train, orders, s)
+        skip = bank.max_lag - orders.max_lag
+        with pytest.raises(RankDeficiencyError) as want:
+            estimate.batch_ls(estimate.RegressionProblem(prob.H[skip:], prob.y[skip:],
+                                                         prob.column_map))
+        assert str(raised.value) == f"estimate: {want.value}"
+        assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
+                                            for dep, ind in want.value.offenders)
 
 
 @pytest.mark.parametrize("n_samples", [400, 1070])
@@ -191,42 +202,32 @@ def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
 def test_collinear_inputs_named_from_R_as_from_H(monkeypatch, n_samples, fixed):
     # the pairs named from the fit's R factor are those a pivoted QR and the
     # column correlations of the fit's own rows give
-    fixed_orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2}
-                    for p, d in [(2, 1), (4, 3)]]
     cfg = load_config(None) | {"n_train": n_samples - 50,
-                               "fixed_orders": fixed_orders if fixed else None}
+                               "fixed_orders": _FIXED if fixed else None}
     calls = _record_fit_calls(monkeypatch)
     with pytest.raises(StageError) as raised:
         identify(_collinear_oracle(n_samples), cfg)
     got = raised.value.__cause__
     assert isinstance(got, RankDeficiencyError)
-    if fixed:
-        (source,), = calls["batch_ls"]
-        H = estimate.build_regressor(source.data, source.orders, source.output).H
-        cmap = source.column_map
-    else:
-        (train, *_), = calls["fold_bank"]
-        orders, s, bank = calls["fit_orders"][-1]
-        H = estimate.build_regressor(train, orders, s).H[bank.max_lag - orders.max_lag:]
-        cmap = estimate.regression_columns(orders)
-    want = offenders_from_H(H, got.rank, cmap)
+    # the fit's rows are the bank's, fixed orders or not
+    (train, *_), = calls["fold_orders" if fixed else "fold_bank"]
+    orders, s, bank = calls["fit_orders"][-1]
+    H = estimate.build_regressor(train, orders, s).H[bank.max_lag - orders.max_lag:]
+    want = offenders_from_H(H, got.rank, estimate.regression_columns(orders))
     assert len(want) == got.n_columns - got.rank
     assert sorted(got.offenders) == sorted(want)
 
 
 @pytest.mark.parametrize("method", ["batch", "rls"])
 def test_one_regression_alive_at_a_time(method):
-    # at fixed orders no bank is folded, and each output's [H y], 17 994 x 30
-    # and 17 992 x 54 doubles, is folded a block of rows at a time
-    orders = [{"n": 5, "channels": [{"p": p, "m": 5, "d": d}] * 2} for p, d in [(2, 1), (4, 3)]]
-    cfg = load_config(None) | {"n_train": 18_000, "fixed_orders": orders,
+    # at fixed orders one bank of both outputs' regressions, 68 columns from
+    # row 8, is folded a block of rows at a time; neither output's whole
+    # [H y], 17 994 x 30 and 17 992 x 54 doubles, is ever built
+    cfg = load_config(None) | {"n_train": 18_000, "fixed_orders": _FIXED,
                                "estimator": {"method": method,
                                              "alpha_sq": estimate.DEFAULT_ALPHA_SQ}}
-    widths = [(o.max_lag, (o.n_parameters + 1) * 8) for o in (
-        estimate.StructureOrders(e["n"], [estimate.ChannelOrders(**c) for c in e["channels"]])
-        for e in orders)]
-    sizes = [(18_000 - lag) * width for lag, width in widths]
-    block = estimate._FOLD_ROWS * max(width for _, width in widths)
+    sizes = [(18_000 - 6) * 30 * 8, (18_000 - 8) * 54 * 8]
+    block = estimate._FOLD_ROWS * 68 * 8
     data = _oracle(20_000)
     tracemalloc.start()
     try:
@@ -235,7 +236,7 @@ def test_one_regression_alive_at_a_time(method):
     finally:
         tracemalloc.stop()
     # the whole of either regression would exceed the smaller one; a peak
-    # below one written block of the wider would mean tracemalloc missed it
+    # below one bank block would mean tracemalloc missed it
     assert block <= peak < min(sizes)
 
 
@@ -248,6 +249,51 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     with pytest.raises(StageError, match="^estimate: unknown estimator method 'bogus'$") as info:
         identify(_oracle(400), cfg)
     assert info.value.stage == "estimate"
+
+
+@pytest.mark.parametrize("user, message", [
+    pytest.param({"estimator": {"method": "rls", "alpha_sq": 0.0}},
+                 "^estimate: alpha_sq must be positive, got 0.0$", id="rls-alpha_sq-0"),
+    pytest.param({"estimator": {"method": "batch", "alpha_sq": -1e6}},
+                 "^estimate: alpha_sq must be positive, got -1000000.0$", id="batch-alpha_sq-neg"),
+    pytest.param({"validation": {"one_step_ahead": False, "std_ddof": 2}},
+                 "^validate: std_ddof must be 0 \\(population\\) or 1 \\(sample\\), got 2$",
+                 id="std_ddof-2"),
+])
+def test_bad_estimator_and_validation_settings_rejected_before_any_work(monkeypatch, user,
+                                                                        message):
+    def fail(*args, **kwargs):
+        raise AssertionError("the pipeline ran before its settings were checked")
+
+    for module, attr in [(preprocess, "prepare_dataset"), (structure, "fold_bank")]:
+        monkeypatch.setattr(module, attr, fail)
+    with pytest.raises(StageError, match=message):
+        identify(_oracle(400), load_config(None) | user)
+
+
+@pytest.mark.parametrize("fixed, message", [
+    pytest.param([{"n": 2, "channels": [{"p": 2, "m": 2, "d": 1}]}] * 2,
+                 "orders describe 1 inputs, dataset has 2", id="one-channel"),
+    pytest.param(_FIXED + _FIXED[:1], "fixed_orders describe 3 outputs, dataset has 2",
+                 id="three-outputs"),
+])
+def test_fixed_orders_of_another_shape_refused_before_the_fold(monkeypatch, fixed, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("the bank was folded")
+
+    monkeypatch.setattr(structure, "fold_rows", fail)
+    with pytest.raises(StageError, match=f"^structure: {message}$"):
+        identify(_oracle(400), load_config(None) | {"n_train": 350, "fixed_orders": fixed})
+
+
+def test_fixed_orders_too_long_for_the_series_named_by_the_bank():
+    # the bank of _FIXED holds 68 columns from row 8: 75 training samples are
+    # one too few
+    cfg = load_config(None) | {"n_train": 75, "fixed_orders": _FIXED}
+    with pytest.raises(StageError, match="^structure: series of length 75 too short for 68 "
+                                         "bank columns from row 8$"):
+        identify(_oracle(400), cfg)
+    identify(_oracle(400), cfg | {"n_train": 76})
 
 
 def _without(data, kind):

@@ -207,7 +207,7 @@ class TestNestedLosses:
         eps = np.finfo(float).eps
         R = np.linalg.qr(np.insert(H, target, y, axis=1), mode="r")
         got = _nested_losses(R, rows, [[c + (c >= target) for c in cols] for cols in sets],
-                             target)
+                             target, np.sum(R * R, axis=0))
         floor = _EXACT_FIT_FLOOR * float(np.mean(y**2))
         for J, cols in zip(got, sets):
             A = H[:, cols]
@@ -229,7 +229,7 @@ class TestNestedLosses:
     def test_sets_must_be_nested(self):
         R = np.triu(np.ones((4, 4)))
         with pytest.raises(ValueError, match="not nested"):
-            _nested_losses(R, 10, [[0, 1], [1, 2]], 3)
+            _nested_losses(R, 10, [[0, 1], [1, 2]], 3, np.sum(R * R, axis=0))
 
     @pytest.mark.parametrize("n_samples, noise_std", [
         (1070, 0.01), (1070, 0.0), (20_000, 0.01), (20_000, 0.0)])
@@ -277,7 +277,7 @@ class TestNestedLosses:
         assert kept == want_kept == [0, 1, 3, 4, 5]
         np.testing.assert_allclose(np.cumsum(b[::-1] ** 2), np.cumsum(want_b[::-1] ** 2),
                                    rtol=1e-12)
-        J = _nested_losses(R, 40, [[0, 1, 2], [0, 1, 2, 3, 4, 5]], 6)
+        J = _nested_losses(R, 40, [[0, 1, 2], [0, 1, 2, 3, 4, 5]], 6, np.sum(R * R, axis=0))
         for got, cols in zip(J, [[0, 1], [0, 1, 3, 4, 5]]):
             theta, *_ = np.linalg.lstsq(Z[:, cols], Z[:, 6], rcond=None)
             r = Z[:, 6] - Z[:, cols] @ theta
@@ -304,22 +304,27 @@ def _powers(u, p):
     return np.cumprod(np.broadcast_to(u, (p, len(u))), axis=0)
 
 
-def _reference_bank(data, max_lag, p, n_lag, lead_lag=None):
-    """The bank built one column at a time, and the (signal, lag) of each
-    column: the signals are u_j^i for every input j and power i <= p, at
-    lags 0..max_lag, then -y_s for every output s, at lags 0..n_lag only.
-    The input powers at lags lead_lag..max_lag come first, lag-major, and
-    then every other column, lag-major; by default the whole bank is
-    lag-major."""
+def _reference_bank(data, regressions, lead_lag=None):
+    """The bank of ``regressions``, a list of (orders, output), built one
+    column at a time, and the (signal, lag) of each column: the signals are
+    u_j^i for every input j and power i <= p, the largest power of any of
+    the regressions, then -y_s for every output s, over the rows from the
+    regressions' largest lag on.  A column is held when one of the
+    regressions reads it, as a regressor or as its target -y_s at lag 0.
+    The input powers at lags lead_lag.. come first, lag-major, and then
+    every other column, lag-major; by default the whole bank is lag-major."""
+    L = max(orders.max_lag for orders, _ in regressions)
+    p = max(c.p for orders, _ in regressions for c in orders.channels)
     N, y0 = data.n_samples, data.n_inputs * p
-    lead = max_lag + 1 if lead_lag is None else lead_lag
+    lead = L + 1 if lead_lag is None else lead_lag
     signals = ([z for j in range(data.n_inputs) for z in _powers(data.inputs[:, j], p)]
                + [-data.outputs[:, s] for s in range(data.n_outputs)])
-    lag_major = [(g, lag) for lag in range(max_lag + 1) for g in range(len(signals))
-                 if g < y0 or lag <= n_lag]
+    lag_major = [(g, lag) for lag in range(L + 1) for g in range(len(signals))
+                 if any(_reference_spans(orders, s, p, (g, lag)) or (g, lag) == (y0 + s, 0)
+                        for orders, s in regressions)]
     keys = ([(g, lag) for g, lag in lag_major if g < y0 and lag >= lead]
             + [(g, lag) for g, lag in lag_major if g >= y0 or lag < lead])
-    return np.column_stack([signals[g][max_lag - lag:N - lag] for g, lag in keys]), keys
+    return np.column_stack([signals[g][L - lag:N - lag] for g, lag in keys]), keys
 
 
 def _assert_table(bank, keys):
@@ -331,14 +336,16 @@ def _assert_table(bank, keys):
     assert np.array_equal(bank.table, want)
 
 
-def _reference_spans(orders, output, bank, key):
-    """Whether output ``output``'s regression at ``orders`` uses the bank
-    column of (signal, lag) ``key``, one column at a time."""
+def _reference_spans(orders, output, p, key):
+    """Whether output ``output``'s regression at ``orders`` uses the column
+    of (signal, lag) ``key`` of a bank of ``p`` powers, one column at a
+    time."""
     g, lag = key
-    if g >= bank.y0:
-        return g - bank.y0 == output and 1 <= lag <= orders.n
-    ch = orders.channels[g // bank.p]
-    return g % bank.p + 1 <= ch.p and ch.d <= lag <= ch.d + ch.m
+    y0 = len(orders.channels) * p
+    if g >= y0:
+        return g - y0 == output and 1 <= lag <= orders.n
+    ch = orders.channels[g // p]
+    return g % p + 1 <= ch.p and ch.d <= lag <= ch.d + ch.m
 
 
 def _reference_regressor(data, orders, output, start):
@@ -370,30 +377,34 @@ def _assert_picks_the_reference_regression(bank, Z, data, orders, output):
 
 @st.composite
 def _bank_and_orders(draw):
-    """A bank's lags and powers, data to build it on, and a sequence of
-    orders in and around the bank."""
+    """Data, a bank's regressions, a list of (orders, output), with its
+    ``lead_lag``, and a sequence of orders in and around the bank."""
     n_inputs, n_outputs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    max_lag, p = draw(st.integers(0, 5)), draw(st.integers(1, 3))
-    n_lag = draw(st.integers(0, max_lag))
+
+    def orders(n, p, lag):
+        return st.builds(StructureOrders, n=st.integers(0, n), channels=st.tuples(*(
+            st.builds(ChannelOrders, p=st.integers(1, p), m=st.integers(0, lag),
+                      d=st.integers(0, lag))
+            for _ in range(n_inputs))))
+
+    regressions = draw(st.lists(st.tuples(orders(4, 3, 3), st.integers(0, n_outputs - 1)),
+                                min_size=1, max_size=3))
+    max_lag = max(o.max_lag for o, _ in regressions)
+    p = max(c.p for o, _ in regressions for c in o.channels)
     lead_lag = draw(st.one_of(st.none(), st.integers(0, max_lag + 1)))
-    sub = st.builds(
-        StructureOrders,
-        n=st.integers(0, max_lag + 1),
-        channels=st.tuples(*(
-            st.builds(ChannelOrders, p=st.integers(1, p + 1),
-                      m=st.integers(0, max_lag), d=st.integers(0, max_lag))
-            for _ in range(n_inputs)
-        )),
-    )
-    sweep = draw(st.lists(sub, min_size=1, max_size=5))
+    sweep = draw(st.lists(orders(max_lag + 1, p + 1, max_lag), min_size=1, max_size=5))
     rows = max_lag + (n_inputs * p + n_outputs) * (max_lag + 1) + draw(st.integers(0, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = Dataset(1.0, rng.normal(size=(rows, n_inputs)), rng.normal(size=(rows, n_outputs)),
                    tuple(f"u{j}" for j in range(n_inputs)),
                    tuple(f"y{s}" for s in range(n_outputs)))
-    return data, max_lag, p, n_lag, lead_lag, sweep
+    return data, regressions, lead_lag, sweep
 
 
+# the regressions of fold_bank's bank at max_lag 10 and SearchBounds(6, 6, 4):
+# the scan's and the search's largest, at delays 0, for every output
+_DEFAULT_BANK = [(StructureOrders(n, [ChannelOrders(4, m, 0)] * 2), s)
+                 for n, m in [(8, 18), (6, 16)] for s in (0, 1)]
 # the scan at max_lag 10 and the searches at SearchBounds(6, 6, 4) and the
 # preset's delays, with the first row of a bank of their own (18, 7 and 9)
 _SCAN_BANK = (StructureOrders(8, [ChannelOrders(4, 18, 0)] * 2), 18)
@@ -441,23 +452,34 @@ _SHAPES = {
 class TestCompressedBank:
     @given(_bank_and_orders())
     def test_columns_follow_the_per_column_rule(self, case):
-        data, max_lag, p, n_lag, lead_lag, sweep = case
-        bank = _CompressedBank(data, max_lag, p, n_lag, lead_lag)
-        Z, keys = _reference_bank(data, max_lag, p, n_lag, lead_lag)
+        data, regressions, lead_lag, sweep = case
+        bank = _CompressedBank(data, regressions, lead_lag)
+        Z, keys = _reference_bank(data, regressions, lead_lag)
         _assert_table(bank, keys)
-        for sub, s in ((sub, s) for sub in sweep for s in range(data.n_outputs)):
+        # the bank's factor of each of its regressions is the R factor of
+        # that regression's [H y] over the bank's rows, up to its rows' signs
+        for orders, s in regressions:
+            H, y = _reference_regressor(data, orders, s, bank.max_lag)
+            F, want = bank.factor(orders, s), np.linalg.qr(np.column_stack([H, y]), mode="r")
+            scale = np.linalg.norm(want, axis=0)
+            F, want = np.sign(np.diag(F))[:, None] * F, np.sign(np.diag(want))[:, None] * want
+            assert np.all(np.abs(F - want) <= 1e-10 * scale)
+        p = bank.p
+        for sub, s in regressions + [(sub, s) for sub in sweep for s in range(data.n_outputs)]:
             # a bank never drops a column the orders ask for
-            if sub.max_lag > max_lag or max(c.p for c in sub.channels) > p:
-                with pytest.raises(ValueError, match=f"^bank of lags up to {max_lag} and "
+            if sub.max_lag > bank.max_lag or max(c.p for c in sub.channels) > p:
+                with pytest.raises(ValueError, match=f"^bank of lags up to {bank.max_lag} and "
                                                      f"powers up to {p} does not cover "):
                     bank.columns(sub, s)
                 continue
-            if sub.n > n_lag:
-                with pytest.raises(ValueError, match=f"^bank of output lags up to {n_lag} "
-                                                     f"does not cover "):
+            needed = [(g, lag) for g in range(bank.n_signals) for lag in range(bank.max_lag + 1)
+                      if _reference_spans(sub, s, p, (g, lag))] + [(bank.y0 + s, 0)]
+            if not set(needed) <= set(keys):
+                with pytest.raises(ValueError, match=f"^bank does not hold every column of "
+                                                     f"output {s} at "):
                     bank.columns(sub, s)
                 continue
-            want = [c for c, key in enumerate(keys) if _reference_spans(sub, s, bank, key)]
+            want = [c for c, key in enumerate(keys) if _reference_spans(sub, s, p, key)]
             assert bank.columns(sub, s) == want
             _assert_picks_the_reference_regression(bank, Z, data, sub, s)
 
@@ -476,8 +498,8 @@ class TestCompressedBank:
         # lags 0..8, the delay scan's n; the 72 input powers at lags 10..18,
         # which every scan candidate at max_lag 10 holds, come first
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
-        assert (bank.max_lag, bank.p, bank.n_lag, bank.R.shape) == (18, 4, 8, (170, 170))
-        Z, keys = _reference_bank(data, 18, 4, 8, lead_lag=10)
+        assert (bank.max_lag, bank.p, bank.R.shape) == (18, 4, (170, 170))
+        Z, keys = _reference_bank(data, _DEFAULT_BANK, lead_lag=10)
         assert keys[71:73] == [(7, 18), (0, 0)]
         _assert_table(bank, keys)
         # the block fold fixes R only up to round-off and the signs of its
@@ -550,7 +572,7 @@ class TestCompressedBank:
         monkeypatch.setattr("hammid.structure.fold_rows", recording_fold)
         data = preset_oracle_dataset(n_samples=1070, noise_std=0.01)
         bank = fold_bank(data, 10, SearchBounds(6, 6, 4))
-        Z, keys = _reference_bank(data, 18, 4, 8, lead_lag=10)
+        Z, keys = _reference_bank(data, _DEFAULT_BANK, lead_lag=10)
         assert [(s, e) for s, e, _ in blocks] == [
             (s, min(s + block_rows, len(Z))) for s in range(0, len(Z), block_rows)]
         for s, e, block in blocks:
@@ -687,14 +709,15 @@ class TestFitOrders:
     def test_orders_past_the_output_lags_are_refused(self):
         data = preset_oracle_dataset(n_samples=1070)
         bank = fold_bank(data, 10)  # the scan's own bank: outputs at lags 0..8
-        assert bank.n_lag == 8
+        assert (bank.table[bank.y0:, :9] >= 0).all() and (bank.table[bank.y0:, 9:] < 0).all()
         assert len(bank.columns(StructureOrders(8, [ChannelOrders(2, 2, 1)] * 2), 0)) == 20
         orders = StructureOrders(9, [ChannelOrders(2, 2, 1)] * 2)
         for call in (lambda: bank.columns(orders, 0),
                      lambda: fit_orders(orders, 0, bank),
                      lambda: select_structure(data, 0, [1, 1], SearchBounds(9, 6, 4),
                                               bank=bank)):
-            with pytest.raises(ValueError, match="^bank of output lags up to 8 does not cover "):
+            with pytest.raises(ValueError, match="^bank does not hold every column of output 0 "
+                                                 "at "):
                 call()
 
 
@@ -808,8 +831,8 @@ class TestDelayEstimation:
                                              "columns from row 18$"):
             estimate_delays(data, 0, max_lag=10)
         # the search's own bank at SearchBounds(6, 6, 4) and delays 1, 1:
-        # inputs at lags 0..7 and outputs at lags 0..6
-        with pytest.raises(ValueError, match="^series of length 60 too short for 78 bank "
+        # inputs at lags 1..7 and the searched output at lags 0..6
+        with pytest.raises(ValueError, match="^series of length 60 too short for 63 bank "
                                              "columns from row 7$"):
             select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4))
 
