@@ -95,13 +95,11 @@ def cmd_simulate(
         persistence.save_dataset(dataset_out, data)
 
 
-def _write_validation(report, output_names, outdir: Path) -> None:
+def _write_validation(report, outdir: Path) -> None:
     (outdir / "validation_report.txt").write_text(validate.format_validation_report(report))
-    for s, name in enumerate(output_names):
-        # a block of rows at a time, never the whole trace as one string
-        with open(outdir / f"validation_trace_{name}.txt", "w") as fh:
-            for start in range(0, len(report.actual), persistence._WRITE_ROWS):
-                fh.write(validate.format_trace(report, s, start, start + persistence._WRITE_ROWS))
+    for s, stats in enumerate(report.outputs):
+        persistence.save_validation_trace(outdir / f"validation_trace_{stats.name}.txt",
+                                          stats.name, report.actual[:, s], report.predicted[:, s])
 
 
 def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> None:
@@ -114,7 +112,7 @@ def cmd_identify(cfg: dict, dataset_path: str, outdir: Path) -> None:
         else structure.format_search_report(search, name)
         for search, name in zip(result.searches, data.output_names)
     ))
-    _write_validation(result.report, data.output_names, outdir)
+    _write_validation(result.report, outdir)
     _write_resolved_config(cfg, outdir)
 
 
@@ -128,7 +126,7 @@ def cmd_validate(
     deviations, _ = preprocess.prepare_dataset(data, median_window=1)
     report = validate.evaluate(model, deviations, std_ddof=vcfg["std_ddof"],
                                one_step_ahead=one_step_ahead or vcfg["one_step_ahead"])
-    _write_validation(report, data.output_names, outdir)
+    _write_validation(report, outdir)
 
 
 def cmd_preset(name: str, out_path: str) -> None:

@@ -1,4 +1,4 @@
-"""Dataset, series, simulated-trace and model file I/O.
+"""Dataset, series, simulated-trace, validation-trace and model file I/O.
 
 All formats are plain text with full shortest-round-trip decimal numbers
 (Python ``repr`` of a float), so load(save(x)) reproduces x bit for bit.
@@ -30,6 +30,16 @@ Simulated trace (the outputs ``hammid simulate`` computes)::
     index,W_b,H_f
     0,0.0,0.0
 
+A validation trace (one output's hold-out samples, written by ``identify``
+and ``validate``) has one header line naming the output and space-separated
+rows of index, actual, predicted and error (actual - predicted)::
+
+    index actual predicted error  (W_b)
+    0 0.5 0.25 0.25
+
+It is written only, never read back.  Every one of these per-sample files is
+written by one row writer, ``_WRITE_ROWS`` rows at a time, never held whole.
+
 Model and config files are JSON objects read by :func:`read_json_object` and
 typed by one rule, :func:`check_type`, naming each value by its JSON path
 (``channels[0][1].d``).  Model files carry a ``schema_version`` (unknown ones
@@ -58,7 +68,7 @@ MODEL_SCHEMA_VERSION = 1
 _DATASET_MAGIC = "# hammid dataset v1"
 _SERIES_MAGIC = "# hammid series v1"
 _TRACE_MAGIC = "# hammid trace v1"
-_WRITE_ROWS = 4096  # rows of a text table formatted at a time, not the whole table
+_WRITE_ROWS = 4096  # rows of a per-sample file formatted at a time, not the whole file
 
 
 class FileFormatError(ValueError):
@@ -97,20 +107,27 @@ def _parse_mapping(path, line: int | None, text: str) -> dict:
 # ---------------------------------------------------------------------------
 # Text tables
 
-def _write_table(path, magic: str, meta: dict, names, table) -> None:
+def _write_rows(path, head: str, sep: str, *columns) -> None:
+    """Write ``head``, then one line per sample: its index and the ``repr`` of
+    its value in each of ``columns`` (series, or tables of them), joined by
+    ``sep``, formatted and written ``_WRITE_ROWS`` rows at a time."""
+    n = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(head)
+        for s in range(0, n, _WRITE_ROWS):
+            # the index rides as a float column: exact, and "%d" prints it whole
+            chunk = np.column_stack([np.arange(s, min(s + _WRITE_ROWS, n), dtype=float),
+                                     *(c[s:s + _WRITE_ROWS] for c in columns)])
+            row = "%d" + (sep + "%r") * (chunk.shape[1] - 1) + "\n"
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _write_table(path, magic: str, meta: dict, names, *columns) -> None:
     """Write ``magic``, one ``# key: value`` line per ``meta`` item, the
-    ``index,<names>`` header and one ``repr`` row per row of ``table``,
-    formatted and written ``_WRITE_ROWS`` rows at a time."""
+    ``index,<names>`` header and the comma-separated rows of ``columns``."""
     head = [magic, *(f"# {key}: {value}" for key, value in meta.items()),
             "index," + ",".join(names)]
-    table = np.asarray(table, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("\n".join(head) + "\n")
-        for s in range(0, len(table), _WRITE_ROWS):
-            chunk = table[s:s + _WRITE_ROWS]
-            columns = (map(repr, col) for col in chunk.T.tolist())
-            rows = zip(map(str, range(s, s + len(chunk))), *columns)
-            fh.write("".join(",".join(row) + "\n" for row in rows))
+    _write_rows(path, "\n".join(head) + "\n", ",", *columns)
 
 
 def _read_table(path, magic: str):
@@ -182,7 +199,6 @@ def _parse_cells(path, body: list, first_line: int, header: list) -> np.ndarray:
 
 
 def save_series(path, values, name: str = "value") -> None:
-    values = np.asarray(values, dtype=float).reshape(-1, 1)
     _write_table(path, _SERIES_MAGIC, {"signal": name}, ("value",), values)
 
 
@@ -196,6 +212,13 @@ def load_series(path) -> tuple[np.ndarray, str]:
 def save_trace(path, output_names, outputs) -> None:
     """Write simulated outputs, one column per output name."""
     _write_table(path, _TRACE_MAGIC, {}, output_names, outputs)
+
+
+def save_validation_trace(path, name: str, actual, predicted) -> None:
+    """Write output ``name``'s hold-out trace: index, actual, predicted and
+    error (actual - predicted) per sample."""
+    _write_rows(path, f"index actual predicted error  ({name})\n", " ",
+                actual, predicted, np.subtract(actual, predicted))
 
 
 def save_dataset(path, data: Dataset) -> None:
@@ -212,7 +235,7 @@ def save_dataset(path, data: Dataset) -> None:
     }
     meta |= {key: value for key, value in optional.items() if value}
     _write_table(path, _DATASET_MAGIC, meta, data.input_names + data.output_names,
-                 np.hstack([data.inputs, data.outputs]))
+                 data.inputs, data.outputs)
 
 
 def load_dataset(path) -> Dataset:

@@ -133,7 +133,8 @@ def identify(data: Dataset, cfg: dict) -> Identification:
 
     ``cfg`` is a resolved config (see :func:`load_config`).  Failures raise
     :class:`StageError` labeled with the stage.  An unknown estimator
-    method, an ``alpha_sq`` <= 0, a ``std_ddof`` other than 0 or 1, and a
+    method, an ``alpha_sq`` <= 0, a ``std_ddof`` other than 0 or 1 or not
+    below the hold-out's length (:func:`validate.check_std_ddof`), and a
     dataset without input or without output series are refused before any
     work.  Every fit, batch or RLS, is solved from the R factor of the one
     bank the structure stage folds: the delay scan's and search's
@@ -149,16 +150,15 @@ def identify(data: Dataset, cfg: dict) -> Identification:
         if not data.n_inputs or not data.n_outputs:
             raise ValueError(f"dataset has no {'output' if data.n_inputs else 'input'} series")
     with stage("validate"):
-        vcfg = cfg["validation"]
-        if vcfg["std_ddof"] not in (0, 1):
-            raise ValueError(f"std_ddof must be 0 (population) or 1 (sample), "
-                             f"got {vcfg['std_ddof']!r}")
+        vcfg, n_train = cfg["validation"], cfg["n_train"]
+        # an n_train outside (0, N) is left to the split stage
+        n_test = data.n_samples - n_train if 0 < n_train < data.n_samples else None
+        validate.check_std_ddof(vcfg["std_ddof"], n_test)
 
     with stage("preprocess"):
         deviations, offsets = preprocess.prepare_dataset(data, **cfg["preprocess"])
 
     with stage("split"):
-        n_train = cfg["n_train"]
         train, test = validate.split_dataset(deviations, n_train)
 
     with stage("structure"):

@@ -10,7 +10,6 @@ equation, is available as an option.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -89,6 +88,17 @@ def _one_step_prediction(model: MimoHammersteinModel, data: Dataset) -> np.ndarr
     return pred
 
 
+def check_std_ddof(std_ddof: int, n_test: int | None) -> None:
+    """Refuse a ``std_ddof`` other than 0 (population) or 1 (sample), and a
+    hold-out of ``n_test`` <= ``std_ddof`` samples, whose error std is
+    undefined; ``n_test`` None checks ``std_ddof`` alone."""
+    if std_ddof not in (0, 1):
+        raise ValueError(f"std_ddof must be 0 (population) or 1 (sample), got {std_ddof!r}")
+    if n_test is not None and n_test <= std_ddof:
+        raise ValueError(f"hold-out of {n_test} samples is too short for std_ddof {std_ddof}: "
+                         f"the error std needs at least {std_ddof + 1}")
+
+
 def evaluate(
     model: MimoHammersteinModel,
     test: Dataset,
@@ -101,10 +111,10 @@ def evaluate(
     names in the model's order; columns are matched by position, so a
     dataset in another order is rejected.  ``std_ddof`` selects the standard
     deviation convention (0 = population, 1 = sample); any other value is
-    rejected.
+    rejected, as is a dataset of at most ``std_ddof`` samples
+    (:func:`check_std_ddof`).
     """
-    if std_ddof not in (0, 1):
-        raise ValueError(f"std_ddof must be 0 (population) or 1 (sample), got {std_ddof!r}")
+    check_std_ddof(std_ddof, test.n_samples)
     if test.n_inputs != model.n_inputs or test.n_outputs != model.n_outputs:
         raise ValueError(
             f"model is {model.n_inputs}x{model.n_outputs}, "
@@ -162,16 +172,3 @@ def format_validation_report(report: ValidationReport) -> str:
         lines.append(f"warning: identified model is unstable (max pole radius {radius:.6g})")
     return "\n".join(lines) + "\n"
 
-
-def format_trace(report: ValidationReport, output: int, start: int = 0,
-                 stop: int | None = None) -> str:
-    """Column-aligned per-sample trace: index, actual, predicted, error.
-
-    Rows ``start`` .. ``stop`` - 1 only (by default all), with the header
-    line when ``start`` is 0, so the blocks of a long trace can be written
-    one after another and join to the whole trace."""
-    actual, predicted = report.actual[start:stop, output], report.predicted[start:stop, output]
-    head = f"index actual predicted error  ({report.outputs[output].name})\n" if start == 0 else ""
-    cells = zip(range(start, start + len(actual)), actual.tolist(), predicted.tolist(),
-                (actual - predicted).tolist())
-    return head + ("%d %r %r %r\n" * len(actual)) % tuple(chain.from_iterable(cells))

@@ -119,17 +119,20 @@ def expected_preset_theta(output: int) -> np.ndarray:
     return np.array(theta)
 
 
-def noisy_preset_dataset(seeds, noise_seed: int, n_samples: int = 1070) -> Dataset:
+def noisy_preset_dataset(seeds, noise_seed: int, n_samples: int = 1070,
+                         spikes: bool = True) -> Dataset:
     """The preset's response to the default excitation at ``seeds`` with 1%
-    Gaussian noise and +-5 x RMS spikes on 0.5% of the samples of each output,
-    drawn from ``noise_seed``.  Every operating point is declared 0, as for a
-    record whose inputs and outputs are already at deviation scale."""
+    Gaussian noise and, if ``spikes``, +-5 x RMS spikes on 0.5% of the samples
+    of each output, drawn from ``noise_seed``.  Every operating point is
+    declared 0, as for a record whose inputs and outputs are already at
+    deviation scale."""
     data = preset_oracle_dataset(n_samples=n_samples, seeds=seeds)
     rng = np.random.default_rng(noise_seed)
     rms = np.sqrt(np.mean(data.outputs**2, axis=0))
-    y = data.outputs + 0.01 * rms * rng.standard_normal(data.outputs.shape)
-    spikes = rng.random(y.shape) < 0.005
-    data.outputs = y + spikes * 5.0 * rms * rng.choice([-1.0, 1.0], size=y.shape)
+    data.outputs = data.outputs + 0.01 * rms * rng.standard_normal(data.outputs.shape)
+    if spikes:
+        hit = rng.random(data.outputs.shape) < 0.005
+        data.outputs += hit * 5.0 * rms * rng.choice([-1.0, 1.0], size=hit.shape)
     data.operating_point = dict.fromkeys(data.input_names + data.output_names, 0.0)
     return data
 

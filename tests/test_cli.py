@@ -376,6 +376,21 @@ class TestIdentify:
         ]) == 1
         assert capsys.readouterr().err.startswith(f"error: {stage}: ")
 
+    def test_one_sample_hold_out_at_std_ddof_1_writes_nothing(self, tmp_path, capsys):
+        _write_oracle_dataset(tmp_path / "oracle.csv", n_samples=120)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_train": 119, "validation": {"std_ddof": 1}}))
+        outdir = tmp_path / "out"
+        assert main([
+            "identify", "--config", str(cfg_path),
+            "--dataset", str(tmp_path / "oracle.csv"), "--output-dir", str(outdir),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: validate: hold-out of 1 samples is too short for std_ddof 1: "
+            "the error std needs at least 2\n"
+        )
+        assert not list(outdir.iterdir())
+
     @pytest.mark.parametrize("key", ["slash", "backslash"])
     def test_bad_dataset_signal_name_writes_nothing(self, tmp_path, capsys, key):
         # the output name would become part of its validation trace's file name
@@ -558,6 +573,22 @@ class TestValidateCommand:
         assert "warning" not in text
         trace = (outdir / "validation_trace_H_f.txt").read_text()
         assert trace.splitlines()[0].startswith("index actual predicted error")
+
+    def test_one_sample_dataset_at_std_ddof_1_writes_nothing(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        main(["preset", "--output", str(model_path)])
+        dataset_path = tmp_path / "oracle.csv"
+        _write_oracle_dataset(dataset_path, n_samples=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"validation": {"std_ddof": 1}}))
+        outdir = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg_path), "--model", str(model_path),
+                     "--dataset", str(dataset_path), "--output-dir", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: hold-out of 1 samples is too short for std_ddof 1: "
+            "the error std needs at least 2\n"
+        )
+        assert not list(outdir.iterdir())
 
     def test_traces_written_in_blocks_are_the_whole_traces(self, tmp_path, monkeypatch):
         model_path = tmp_path / "m.json"

@@ -21,7 +21,7 @@ from hammid import (
     save_model,
     save_series,
 )
-from hammid import persistence
+from hammid import evaluate, persistence
 from hammid.cli import main
 
 from helpers import preset_oracle_dataset
@@ -82,6 +82,13 @@ def _write_golden_trace(tmp_path):
     return tmp_path / "simulated_outputs.txt"
 
 
+def _write_golden_validation_trace(tmp_path):
+    persistence.save_validation_trace(tmp_path / "v.txt", "W_b",
+                                      np.array([0.1 + 0.2, -0.0, 1e-300]),
+                                      np.array([0.1, 0.5, -1e-300]))
+    return tmp_path / "v.txt"
+
+
 @pytest.mark.parametrize("write, text", [
     pytest.param(_write_golden_series, (
         "# hammid series v1\n"
@@ -110,10 +117,71 @@ def _write_golden_trace(tmp_path):
         "1,0.014887766560000001,0.0\n"
         "2,0.0124114864951568,0.0\n"
     ), id="simulated-trace"),
+    pytest.param(_write_golden_validation_trace, (
+        "index actual predicted error  (W_b)\n"
+        "0 0.30000000000000004 0.1 0.20000000000000004\n"
+        "1 -0.0 0.5 -0.5\n"
+        "2 1e-300 -1e-300 2e-300\n"
+    ), id="validation-trace"),
 ])
 def test_golden_file_text(tmp_path, write, text):
     """Pins the exact bytes of every text data file the package writes."""
     assert write(tmp_path).read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("write", [_write_golden_series, _write_golden_dataset,
+                                   _write_golden_trace, _write_golden_validation_trace],
+                         ids=["series", "dataset", "simulated-trace", "validation-trace"])
+def test_golden_files_written_in_blocks_are_the_whole_files(tmp_path, monkeypatch, write):
+    """Every per-sample file is written a block of rows at a time: blocks of
+    one and of two rows give the bytes of one block."""
+    texts = []
+    for rows in (4096, 1, 2):
+        monkeypatch.setattr(persistence, "_WRITE_ROWS", rows)
+        outdir = tmp_path / f"rows-{rows}"
+        outdir.mkdir()
+        texts.append(write(outdir).read_bytes())
+    assert texts[1:] == texts[:1] * 2
+
+
+class TestValidationTrace:
+    @staticmethod
+    def _report(n_samples):
+        data = preset_oracle_dataset(n_samples=n_samples, noise_std=0.05,
+                                     rng=np.random.default_rng(64))
+        return evaluate(gtaw_pool_model(), data)
+
+    def test_round_trips(self, tmp_path):
+        report = self._report(20)
+        path = tmp_path / "trace.txt"
+        persistence.save_validation_trace(path, "W_b", report.actual[:, 0],
+                                          report.predicted[:, 0])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "index actual predicted error  (W_b)"
+        assert len(lines) == 21
+        cells = lines[8].split(" ")
+        assert int(cells[0]) == 7
+        assert float(cells[1]) == report.actual[7, 0]
+        assert float(cells[2]) == report.predicted[7, 0]
+        assert float(cells[3]) == report.actual[7, 0] - report.predicted[7, 0]
+
+    @pytest.mark.parametrize("n_samples", [20, 0])
+    def test_bytes_are_the_reference_in_every_block_size(self, tmp_path, monkeypatch, n_samples):
+        report = self._report(max(n_samples, 1))
+        actual, predicted = report.actual[:n_samples, 1], report.predicted[:n_samples, 1]
+        # an independent reference: one "%d %r %r %r" row per sample, under one header
+        expected = "index actual predicted error  (H_f)\n" + "".join(
+            "%d %r %r %r\n" % (k, float(a), float(p), float(a - p))
+            for k, (a, p) in enumerate(zip(actual, predicted))
+        )
+        for rows in (1, 7, 20, 64, 4096):
+            monkeypatch.setattr(persistence, "_WRITE_ROWS", rows)
+            path = tmp_path / f"trace-{rows}.txt"
+            persistence.save_validation_trace(path, "H_f", actual, predicted)
+            text = path.read_text()
+            assert text == expected
+            assert text.count("index") == 1
+            assert len(text.splitlines()) == n_samples + 1
 
 
 def test_golden_trace_within_two_ulp_of_the_exact_recursion(tmp_path):

@@ -259,6 +259,9 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
     pytest.param({"validation": {"one_step_ahead": False, "std_ddof": 2}},
                  "^validate: std_ddof must be 0 \\(population\\) or 1 \\(sample\\), got 2$",
                  id="std_ddof-2"),
+    pytest.param({"n_train": 399, "validation": {"one_step_ahead": False, "std_ddof": 1}},
+                 "^validate: hold-out of 1 samples is too short for std_ddof 1: "
+                 "the error std needs at least 2$", id="one-sample-hold-out-std_ddof-1"),
 ])
 def test_bad_estimator_and_validation_settings_rejected_before_any_work(monkeypatch, user,
                                                                         message):
@@ -269,6 +272,15 @@ def test_bad_estimator_and_validation_settings_rejected_before_any_work(monkeypa
         monkeypatch.setattr(module, attr, fail)
     with pytest.raises(StageError, match=message):
         identify(_oracle(400), load_config(None) | user)
+
+
+@pytest.mark.parametrize("n_train", [0, 400, 401])
+def test_n_train_outside_the_series_is_a_split_error_at_any_std_ddof(n_train):
+    cfg = load_config(None) | {"n_train": n_train,
+                               "validation": {"one_step_ahead": False, "std_ddof": 1}}
+    with pytest.raises(StageError, match="^split: n_train must lie strictly between 0 and "
+                                         f"400, got {n_train}$"):
+        identify(_oracle(400), cfg)
 
 
 @pytest.mark.parametrize("fixed, message", [

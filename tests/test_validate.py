@@ -9,7 +9,6 @@ from hammid import Dataset, eval_nonlinearity, evaluate, gtaw_pool_model, split_
 from hammid.validate import (
     REPORTED_HOLDOUT_REFERENCE,
     _one_step_prediction,
-    format_trace,
     format_validation_report,
 )
 
@@ -158,6 +157,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"^std_ddof must be 0 .* or 1 .*, got {ddof}$"):
             evaluate(gtaw_pool_model(), data, std_ddof=ddof)
 
+    def test_one_sample_hold_out_at_std_ddof_1_rejected(self):
+        # its error std would be nan, with numpy's degrees-of-freedom warnings
+        data = preset_oracle_dataset(n_samples=50)
+        short = replace(data, inputs=data.inputs[:1], outputs=data.outputs[:1])
+        message = ("hold-out of 1 samples is too short for std_ddof 1: "
+                   "the error std needs at least 2")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(gtaw_pool_model(), short, std_ddof=1)
+
+    @pytest.mark.parametrize("n_test, ddof", [(1, 0), (2, 1)])
+    def test_hold_out_one_sample_longer_than_std_ddof_scored(self, n_test, ddof):
+        data = preset_oracle_dataset(n_samples=50, noise_std=0.1, rng=np.random.default_rng(3))
+        short = replace(data, inputs=data.inputs[:n_test], outputs=data.outputs[:n_test])
+        report = evaluate(gtaw_pool_model(), short, std_ddof=ddof)
+        for s, o in enumerate(report.outputs):
+            assert o.std_error == np.std(report.errors[:, s], ddof=ddof)
+            assert np.isfinite(o.std_error)
+
     def test_arity_mismatch(self):
         data = preset_oracle_dataset(n_samples=50)
         narrower = Dataset(
@@ -200,32 +217,3 @@ class TestFormatting:
         assert "free-run" in text
         assert "W_b" in text and "H_f" in text
         assert "rms_err" in text
-
-    def test_trace_text_round_trips(self):
-        rng = np.random.default_rng(64)
-        data = preset_oracle_dataset(n_samples=20, noise_std=0.05, rng=rng)
-        report = evaluate(gtaw_pool_model(), data)
-        text = format_trace(report, 0)
-        lines = text.strip().splitlines()[1:]
-        assert len(lines) == 20
-        cells = lines[7].split()
-        assert float(cells[1]) == report.actual[7, 0]
-        assert float(cells[2]) == report.predicted[7, 0]
-        assert float(cells[3]) == report.actual[7, 0] - report.predicted[7, 0]
-        # per-cell reference: the same bytes as formatting every cell on its own
-        expected = "index actual predicted error  (H_f)\n" + "".join(
-            f"{k} {float(report.actual[k, 1])!r} {float(report.predicted[k, 1])!r} "
-            f"{float(report.errors[k, 1])!r}\n"
-            for k in range(20)
-        )
-        assert format_trace(report, 1) == expected
-
-    def test_trace_blocks_join_to_the_whole_trace(self):
-        data = preset_oracle_dataset(n_samples=20, noise_std=0.05, rng=np.random.default_rng(64))
-        report = evaluate(gtaw_pool_model(), data)
-        whole = format_trace(report, 0)
-        for rows in (1, 7, 20, 64):
-            assert "".join(format_trace(report, 0, s, s + rows)
-                           for s in range(0, 20, rows)) == whole
-        # only the block from row 0 has the header
-        assert format_trace(report, 0, 7, 8) == whole.splitlines(keepends=True)[8]
