@@ -418,16 +418,22 @@ class EstimatorState:
         return True
 
 
+def check_alpha_sq(alpha_sq: float) -> None:
+    """Refuse a prior scale ``alpha_sq`` that is not > 0, NaN included."""
+    if not alpha_sq > 0:
+        raise ValueError(f"alpha_sq must be positive, got {alpha_sq}")
+
+
 def init_estimator(dim: int, alpha_sq: float = DEFAULT_ALPHA_SQ) -> EstimatorState:
     """Start from theta = 0 and P = alpha_sq * I (R = I / sqrt(alpha_sq), z = 0).
 
-    alpha_sq is expected in [1e5, 1e10]; values outside are accepted with a
-    warning since they merely weaken or harden the zero prior.
+    alpha_sq must be positive (:func:`check_alpha_sq`) and is expected in
+    [1e5, 1e10]; values outside are accepted with a warning since they
+    merely weaken or harden the zero prior.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if alpha_sq <= 0:
-        raise ValueError(f"alpha_sq must be positive, got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     lo, hi = ALPHA_SQ_BRACKET
     if not lo <= alpha_sq <= hi:
         warnings.warn(

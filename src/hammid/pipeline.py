@@ -133,22 +133,24 @@ def identify(data: Dataset, cfg: dict) -> Identification:
 
     ``cfg`` is a resolved config (see :func:`load_config`).  Failures raise
     :class:`StageError` labeled with the stage.  An unknown estimator
-    method, an ``alpha_sq`` <= 0, a ``std_ddof`` other than 0 or 1 or not
-    below the hold-out's length (:func:`validate.check_std_ddof`), and a
-    dataset without input or without output series are refused before any
-    work.  Every fit, batch or RLS, is solved from the R factor of the one
-    bank the structure stage folds: the delay scan's and search's
-    (:func:`structure.fold_bank`), or that of the fixed orders
-    (:func:`structure.fold_orders`).
+    method, an ``alpha_sq`` not > 0 (:func:`estimate.check_alpha_sq`), a
+    search setting that :class:`structure.SearchBounds` refuses, searched
+    or not, a ``std_ddof`` other than 0 or 1 or not below the hold-out's
+    length (:func:`validate.check_std_ddof`), and a dataset without input or
+    without output series are refused before any work.  Every fit, batch
+    or RLS, is solved from the R factor of the one bank the structure stage
+    folds: the delay scan's and search's (:func:`structure.fold_bank`), or
+    that of the fixed orders (:func:`structure.fold_orders`).
     """
     with stage("estimate"):
         method, alpha_sq = cfg["estimator"]["method"], cfg["estimator"]["alpha_sq"]
         if method not in ("batch", "rls"):
             raise ValueError(f"unknown estimator method {method!r}")
-        if alpha_sq <= 0:
-            raise ValueError(f"alpha_sq must be positive, got {alpha_sq}")
+        estimate.check_alpha_sq(alpha_sq)
         if not data.n_inputs or not data.n_outputs:
             raise ValueError(f"dataset has no {'output' if data.n_inputs else 'input'} series")
+    with stage("structure"):
+        bounds = structure.SearchBounds(**cfg["structure"])
     with stage("validate"):
         vcfg, n_train = cfg["validation"], cfg["n_train"]
         # an n_train outside (0, N) is left to the split stage
@@ -163,19 +165,12 @@ def identify(data: Dataset, cfg: dict) -> Identification:
 
     with stage("structure"):
         if cfg["fixed_orders"] is None:
-            scfg = cfg["structure"]
-            bounds = structure.SearchBounds(
-                n_max=scfg["n_max"], m_max=scfg["m_max"], p_max=scfg["p_max"]
-            )
             bank = structure.fold_bank(train, cfg["delay"]["max_lag"], bounds)
             searches = []
             for s in range(train.n_outputs):
                 scan = structure.estimate_delays(train, s, cfg["delay"]["max_lag"], bank=bank)
                 searches.append(structure.select_structure(
-                    train, s, [est.delay for est in scan], bounds,
-                    plateau_threshold=scfg["plateau_threshold"],
-                    convergence_floor=scfg["convergence_floor"], bank=bank,
-                ))
+                    train, s, [est.delay for est in scan], bounds, bank=bank))
             orders_list = [search.selected for search in searches]
         else:
             orders_list = [estimate.StructureOrders(entry["n"], [

@@ -24,18 +24,20 @@ training row is read again.  Each block comes from the one builder of
 regression columns, :func:`~hammid.estimate.lagged_columns`, which also
 writes the whole [H y] of :func:`~hammid.estimate.build_regressor`, and a
 candidate's columns are found by the one numbering of both,
-:func:`~hammid.estimate.signal_lags`.  The candidates of one
-sweep are nested: the scan's candidate at d spans the one at d + 1 plus
-input j's lag-d columns, and the p, n and m sweeps each add one group of
-columns per step.  So each sweep re-orders R's columns, new columns of each
-candidate after the previous candidate's and the output's own column last,
-and re-factors; every candidate's loss is then a tail sum of squares of the
-last column of that factor.  The bank lays out first the input powers that
-every scan candidate holds, so a scan sweep starts with R's own leading
-columns, and only the block behind them is re-factored.  On exact data a
-column may lie in the span of the columns before it; the first such column
-is dropped and only the block behind it re-triangularized, one column at a
-time, which changes no candidate's span and so no loss.
+:func:`~hammid.estimate.signal_lags`.  Each rule on bad input is checked
+once, where its object is built: :class:`SearchBounds` checks every search
+setting, and the bank refuses a constant series before it folds.  The
+candidates of one sweep are nested: the scan's candidate at d spans the one
+at d + 1 plus input j's lag-d columns, and the p, n and m sweeps each add
+one group of columns per step.  So each sweep re-orders R's columns, new
+columns of each candidate after the previous candidate's and the output's
+own column last, and re-factors; every candidate's loss is then a tail sum
+of squares of the last column of that factor.  The bank lays out first the
+input powers that every scan candidate holds, so a scan sweep starts with
+R's own leading columns, and only the block behind them is re-factored.  On
+exact data a column may lie in the span of the columns before it; the first
+such column is dropped and only the block behind it re-triangularized, one
+column at a time, which changes no candidate's span and so no loss.
 :func:`augment_columns` is the paper's partitioned update of a solution
 when columns are appended: it inverts only the Schur complement of the new
 columns and gives the same solution as a direct solve.
@@ -209,8 +211,11 @@ class _CompressedBank:
     Output s's regressions take its -y_s column at lag 0 as target and a
     subset of the other columns as regressors; ||z_t - Z_S theta|| equals
     ||r_t - R_S theta||, so each is solved on R alone.  A dataset without
-    input series has no regression to search, and orders of another input
-    count than the dataset's are refused by name.
+    input series, which has no regression to search, orders of another
+    input count than the dataset's, a constant input series and a constant
+    output series that one of the regressions targets are refused by name
+    before any row is folded: the one constant-series rule of the delay
+    scan, the search and every fit.
 
     A series of N samples is too short for a bank of K columns from row L
     unless N - L >= K: the one length rule of the delay scan, the search
@@ -234,6 +239,12 @@ class _CompressedBank:
             if len(orders.channels) != data.n_inputs:
                 raise ValueError(f"orders describe {len(orders.channels)} inputs, "
                                  f"dataset has {data.n_inputs}")
+        targets = sorted({s for _, s in regressions})
+        constant = ([f"input series {name!r}" for x, name in zip(data.inputs.T, data.input_names)
+                     if np.ptp(x) == 0] + [f"output series {data.output_names[s]!r}"
+                                           for s in targets if np.ptp(data.outputs[:, s]) == 0])
+        if constant:
+            raise ValueError(f"constant {constant[0]}")
         L = max(orders.max_lag for orders, _ in regressions)
         self.p = max(c.p for orders, _ in regressions for c in orders.channels)
         self.y0 = data.n_inputs * self.p
@@ -407,19 +418,13 @@ def estimate_delays(data: Dataset, output: int, max_lag: int, *,
     up to the true delay (those leading taps are genuinely zero) and jumps
     beyond it.  The estimate is the largest candidate whose loss lies within
     ``_DELAY_JUMP_TOL`` of the scan's smallest, or at the exact-fit floor.
-    ``max_lag`` must lie in [0, N/4), ``data`` needs an input series, and no
-    series may be constant.  The candidates are scored on ``bank``, by
-    default :func:`fold_bank` of ``data`` at ``max_lag``.
+    ``max_lag`` must lie in [0, N/4).  The candidates are scored on
+    ``bank``, by default :func:`fold_bank` of ``data`` at ``max_lag``, which
+    refuses data without an input series and a constant series.
     """
     _check_max_lag(data, max_lag)
     if not 0 <= output < data.n_outputs:
         raise ValueError(f"output index {output} out of range")
-    y = data.outputs[:, output]
-    if np.ptp(y) == 0:
-        raise ValueError(f"constant output series {data.output_names[output]!r}")
-    for j, name in enumerate(data.input_names):
-        if np.ptp(data.inputs[:, j]) == 0:
-            raise ValueError(f"constant input series {name!r}")
     bank = bank or fold_bank(data, max_lag)
     span = max_lag + _DELAY_PAD
     full = _uniform_orders(_DELAY_N_FIT, span, _DELAY_P_FIT, [0] * data.n_inputs)
@@ -433,7 +438,7 @@ def estimate_delays(data: Dataset, output: int, max_lag: int, *,
             channels[j] = replace(channels[j], d=d, m=span - d)
             sweep.append(replace(full, channels=channels))
         losses = bank.losses(sweep, output)
-        peak = _cross_correlation_peak(data.inputs[:, j], y, max_lag)
+        peak = _cross_correlation_peak(data.inputs[:, j], data.outputs[:, output], max_lag)
         results.append(
             DelayEstimate(
                 delay=max_lag - _first_within(losses, _DELAY_JUMP_TOL, floor),
@@ -456,13 +461,23 @@ def estimate_delay(u, y, max_lag: int) -> DelayEstimate:
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Every setting of the order search: the largest n, m and p, each at
+    least 1, and the plateau threshold and convergence floor of
+    :func:`select_structure`, each at least 0 (NaN is refused)."""
+
     n_max: int
     m_max: int
     p_max: int
+    plateau_threshold: float = DEFAULT_PLATEAU_THRESHOLD
+    convergence_floor: float = DEFAULT_CONVERGENCE_FLOOR
 
     def __post_init__(self):
         if min(self.n_max, self.m_max, self.p_max) < 1:
             raise ValueError("all search bounds must be >= 1")
+        for name in ("plateau_threshold", "convergence_floor"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -478,20 +493,11 @@ class Candidate:
 class StructureSearchResult:
     candidates: tuple[Candidate, ...]
     selected: StructureOrders
-    plateau_threshold: float
-    convergence_floor: float
+    bounds: SearchBounds
 
 
-def select_structure(
-    data: Dataset,
-    output: int,
-    delays,
-    bounds: SearchBounds,
-    plateau_threshold: float = DEFAULT_PLATEAU_THRESHOLD,
-    convergence_floor: float = DEFAULT_CONVERGENCE_FLOOR,
-    *,
-    bank: _CompressedBank | None = None,
-) -> StructureSearchResult:
+def select_structure(data: Dataset, output: int, delays, bounds: SearchBounds, *,
+                     bank: _CompressedBank | None = None) -> StructureSearchResult:
     """Choose (n, m, p) for one output by order sweeps.
 
     All candidates regress over the bank's rows, from its largest lag on,
@@ -507,13 +513,10 @@ def select_structure(
     rule for noise-free data, where J keeps shrinking by large factors all
     the way down to round-off.  n and m are the smallest orders whose J lies
     within the plateau threshold (relative) of the sweep's smallest J, or
-    below the floor.  Both thresholds must be >= 0.  The candidates are
-    scored on ``bank``.
+    below the floor.  Bounds and thresholds are ``bounds``', checked when it
+    was built; the candidates are scored on ``bank``, whose build refuses a
+    constant input or target series.
     """
-    for name, value in (("plateau_threshold", plateau_threshold),
-                        ("convergence_floor", convergence_floor)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
     delays = [int(d) for d in delays]
     if len(delays) != data.n_inputs:
         raise ValueError(f"need one delay per input, got {len(delays)}")
@@ -521,7 +524,7 @@ def select_structure(
         raise ValueError(f"output index {output} out of range")
     full = _uniform_orders(bounds.n_max, bounds.m_max, bounds.p_max, delays)
     bank = bank or _CompressedBank(data, [(full, output)])
-    floor = convergence_floor * bank.power[output]
+    floor = bounds.convergence_floor * bank.power[output]
     candidates: list[Candidate] = []
 
     def swept(stage, values, rule, orders_at):
@@ -529,7 +532,7 @@ def select_structure(
         sweep = [orders_at(value) for value in values]
         losses = bank.losses(sweep, output)
         candidates.extend(Candidate(stage, o, J) for o, J in zip(sweep, losses.tolist()))
-        return values[rule(losses, plateau_threshold, floor)]
+        return values[rule(losses, bounds.plateau_threshold, floor)]
 
     p_hat = swept("p", range(1, bounds.p_max + 1), _first_plateau,
                   lambda p: _uniform_orders(bounds.n_max, bounds.m_max, p, delays))
@@ -541,8 +544,7 @@ def select_structure(
     return StructureSearchResult(
         candidates=tuple(candidates),
         selected=_uniform_orders(n_hat, m_hat, p_hat, delays),
-        plateau_threshold=plateau_threshold,
-        convergence_floor=convergence_floor,
+        bounds=bounds,
     )
 
 
@@ -566,8 +568,8 @@ def format_search_report(result: StructureSearchResult, output_name: str = "") -
     lines = []
     lines.append(f"structure search{f' for {output_name}' if output_name else ''}")
     lines.append(
-        f"plateau threshold {result.plateau_threshold:g}, "
-        f"convergence floor {result.convergence_floor:g} (relative)"
+        f"plateau threshold {result.bounds.plateau_threshold:g}, "
+        f"convergence floor {result.bounds.convergence_floor:g} (relative)"
     )
     lines.append(f"{'stage':>5} {'n':>3} {'m':>3} {'p':>3} {'J':>14} {'improvement':>12}")
     prev_loss = None

@@ -1042,12 +1042,13 @@ class TestSelectStructure:
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-10 * max(1.0, a)
 
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
     @pytest.mark.parametrize("key", ["plateau_threshold", "convergence_floor"])
-    def test_negative_threshold_rejected(self, key):
-        # no loss lies below a negative floor or within a negative margin of the best
-        data = self._synthetic([0.25], [1.0, 0.5], 1, [-1.5, 0.7])
-        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -0.5$"):
-            select_structure(data, 0, [1], SearchBounds(4, 4, 3), **{key: -0.5})
+    def test_negative_threshold_rejected(self, key, value):
+        # no loss lies below a negative floor or within a negative margin of
+        # the best, and none compares with NaN: the bounds refuse both
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got {value}$"):
+            SearchBounds(4, 4, 3, **{key: value})
 
     def test_insufficient_data_rejected(self):
         data = self._synthetic([0.2], [1.0], 0, [-0.5], n_samples=30)
@@ -1060,4 +1061,5 @@ class TestSelectStructure:
         report = format_search_report(result, "y")
         assert "structure search for y" in report
         assert "selected: n=2 m=1 p=2" in report
-        assert str(result.plateau_threshold) in report
+        assert result.bounds == SearchBounds(4, 4, 3)
+        assert str(result.bounds.plateau_threshold) in report
