@@ -348,6 +348,17 @@ def _name_offenders(R: np.ndarray, rank: int, column_map) -> list[tuple[str, str
     return offenders
 
 
+def check_rank(R: np.ndarray, column_map) -> None:
+    """Raise :class:`RankDeficiencyError` when the columns of H, whose R
+    factor (or any matrix A with A'A = H'H) is ``R``, have numerical rank
+    below their count, at the relative cutoff ``_BATCH_RCOND`` of
+    :func:`solve_folded`, naming the dependent ones by ``column_map``."""
+    sv = scipy.linalg.svdvals(R, check_finite=False)
+    rank = int(np.sum(sv > _BATCH_RCOND * sv[0]))
+    if rank < R.shape[1]:
+        raise RankDeficiencyError(rank, R.shape[1], _name_offenders(R, rank, column_map))
+
+
 def solve_folded(F: np.ndarray, n_rows: int, column_map) -> BatchResult:
     """Solve min ||y - H theta|| from the factor F = [R z; 0 rho] of [H y]
     over ``n_rows`` rows.

@@ -59,8 +59,8 @@ from itertools import accumulate
 import numpy as np
 import scipy.linalg
 
-from .estimate import (BatchResult, ChannelOrders, RegressionProblem, StructureOrders,
-                       fold_rows, lagged_columns, regression_columns, signal_lags,
+from .estimate import (BatchResult, ChannelOrders, Column, RegressionProblem, StructureOrders,
+                       check_rank, fold_rows, lagged_columns, regression_columns, signal_lags,
                        solve_folded)
 from .model import Dataset
 
@@ -239,12 +239,12 @@ class _CompressedBank:
             if len(orders.channels) != data.n_inputs:
                 raise ValueError(f"orders describe {len(orders.channels)} inputs, "
                                  f"dataset has {data.n_inputs}")
-        targets = sorted({s for _, s in regressions})
-        constant = ([f"input series {name!r}" for x, name in zip(data.inputs.T, data.input_names)
-                     if np.ptp(x) == 0] + [f"output series {data.output_names[s]!r}"
-                                           for s in targets if np.ptp(data.outputs[:, s]) == 0])
-        if constant:
-            raise ValueError(f"constant {constant[0]}")
+        series = [("input", name, u) for name, u in zip(data.input_names, data.inputs.T)]
+        series += [("output", data.output_names[s], data.outputs[:, s])
+                   for s in sorted({s for _, s in regressions})]
+        for kind, name, x in series:
+            if np.ptp(x) == 0:
+                raise ValueError(f"constant {kind} series {name!r}")
         L = max(orders.max_lag for orders, _ in regressions)
         self.p = max(c.p for orders, _ in regressions for c in orders.channels)
         self.y0 = data.n_inputs * self.p
@@ -383,14 +383,31 @@ def fold_bank(data: Dataset, max_lag: int, bounds: SearchBounds | None = None) -
     them.
 
     ``max_lag`` is checked first, so a bad value is named before the bank
-    is folded."""
+    is folded.
+
+    Given ``bounds``, the search's inputs must be identifiable: the input
+    powers up to ``p_max`` at lags ``max_lag`` .. L, all among R's leading
+    columns (all 72 of them at the defaults), must have full numerical rank
+    (:func:`~hammid.estimate.check_rank`), or a
+    :class:`~hammid.estimate.RankDeficiencyError` names the dependent ones.
+    That refuses collinear inputs, and a ``p_max`` that an input's levels
+    cannot carry, not capped: on the levels -1, 0 and 1, u^3 = u.  Powers
+    above ``p_max``, which only the scan reads, are not checked, and neither
+    is the scan-only bank: the scan deflates dependent columns."""
     _check_max_lag(data, max_lag)
     largest = [(_DELAY_N_FIT, _DELAY_P_FIT, max_lag + _DELAY_PAD)]
     if bounds is not None:
         largest.append((bounds.n_max, bounds.p_max, max_lag + bounds.m_max))
-    return _CompressedBank(data, [(_uniform_orders(n, m, p, [0] * data.n_inputs), s)
+    bank = _CompressedBank(data, [(_uniform_orders(n, m, p, [0] * data.n_inputs), s)
                                   for n, p, m in largest for s in range(data.n_outputs)],
                            lead_lag=max_lag)
+    if bounds is not None:
+        lead = [(bank.table[j * bank.p + i - 1, lag], Column("input_power", lag, j, i))
+                for lag in range(max_lag, bank.max_lag + 1)
+                for j in range(data.n_inputs) for i in range(1, bounds.p_max + 1)]
+        cols, labels = zip(*[(c, label) for c, label in lead if c >= 0])
+        check_rank(bank.R[:max(cols) + 1, list(cols)], labels)
+    return bank
 
 
 def fold_orders(data: Dataset, orders_list) -> _CompressedBank:

@@ -335,14 +335,41 @@ class TestIdentify:
             "error: structure: max_lag must lie in [0, N/4), got 10\n"
 
     def test_constant_input_named(self, tmp_path, capsys):
+        # the bank of the search, or of fixed orders, batch or RLS, refuses it
+        # before it folds
         dataset_path = tmp_path / "oracle.csv"
         data = preset_oracle_dataset(n_samples=1070)
         data.inputs[:, 1] = 7.0
         save_dataset(dataset_path, data)
+        fixed = {"fixed_orders": FIXED_PRESET_ORDERS}
+        for k, cfg in enumerate([{}, fixed, fixed | {"estimator": {"method": "rls"}}]):
+            cfg_path, outdir = tmp_path / f"cfg{k}.json", tmp_path / f"out{k}"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main([
+                "identify", "--config", str(cfg_path), "--dataset", str(dataset_path),
+                "--output-dir", str(outdir),
+            ]) == 1
+            assert capsys.readouterr().err == "error: structure: constant input series 'V_f'\n"
+            assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("v_f, rank", [
+        pytest.param(lambda u: 0.5 * u[:, 0], 36, id="collinear"),
+        pytest.param(lambda u: np.sign(u[:, 1]), 54, id="three-levels"),
+    ])
+    def test_unidentifiable_inputs_write_nothing(self, tmp_path, capsys, v_f, rank):
+        # V_f half of I_p, or on the levels -1, 0 and 1, where V_f^3 = V_f
+        data = preset_oracle_dataset(n_samples=1070)
+        data.inputs[:, 1] = v_f(data.inputs)
+        data.outputs = simulate_mimo(gtaw_pool_model(), data.inputs)
+        data.operating_point = {"I_p": 0.0, "V_f": 0.0, "W_b": 0.0, "H_f": 0.0}
+        save_dataset(tmp_path / "data.csv", data)
+        outdir = tmp_path / "out"
         assert main([
-            "identify", "--dataset", str(dataset_path), "--output-dir", str(tmp_path / "out"),
+            "identify", "--dataset", str(tmp_path / "data.csv"), "--output-dir", str(outdir),
         ]) == 1
-        assert capsys.readouterr().err == "error: structure: constant input series 'V_f'\n"
+        assert capsys.readouterr().err.startswith(
+            f"error: structure: regressor rank {rank} < 72 columns; dependent columns: u2^")
+        assert not list(outdir.iterdir())
 
     @pytest.mark.parametrize("kind", ["input", "output"])
     def test_dataset_without_inputs_or_outputs_named(self, tmp_path, capsys, kind):

@@ -176,32 +176,32 @@ def _record_fit_calls(monkeypatch):
 
 
 def test_collinear_inputs_named_from_the_bank_fit(monkeypatch):
-    # the searched orders' regression, or that of fixed orders, is rank deficient
+    # the regression of fixed orders is rank deficient (a search refuses the
+    # inputs before: test_unidentifiable_inputs_refused_before_the_delay_scan)
     data = _collinear_oracle(400)
     calls = _record_fit_calls(monkeypatch)
-    for fold, fixed in [("fold_bank", None), ("fold_orders", _FIXED)]:
-        calls.clear()
-        with pytest.raises(StageError) as raised:
-            identify(data, load_config(None) | {"n_train": 350, "fixed_orders": fixed})
-        assert raised.value.stage == "estimate"
-        # named as batch LS names them on the bank's rows
-        (train, *_), = calls[fold]
-        orders, s, bank = calls["fit_orders"][-1]
-        prob = estimate.build_regressor(train, orders, s)
-        skip = bank.max_lag - orders.max_lag
-        with pytest.raises(RankDeficiencyError) as want:
-            estimate.batch_ls(estimate.RegressionProblem(prob.H[skip:], prob.y[skip:],
-                                                         prob.column_map))
-        assert str(raised.value) == f"estimate: {want.value}"
-        assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
-                                            for dep, ind in want.value.offenders)
+    with pytest.raises(StageError) as raised:
+        identify(data, load_config(None) | {"n_train": 350, "fixed_orders": _FIXED})
+    assert raised.value.stage == "estimate"
+    # named as batch LS names them on the bank's rows
+    (train, *_), = calls["fold_orders"]
+    orders, s, bank = calls["fit_orders"][-1]
+    prob = estimate.build_regressor(train, orders, s)
+    skip = bank.max_lag - orders.max_lag
+    with pytest.raises(RankDeficiencyError) as want:
+        estimate.batch_ls(estimate.RegressionProblem(prob.H[skip:], prob.y[skip:],
+                                                     prob.column_map))
+    assert str(raised.value) == f"estimate: {want.value}"
+    assert want.value.offenders and all(dep.startswith("u2^") and ind.startswith("u1^")
+                                        for dep, ind in want.value.offenders)
 
 
 @pytest.mark.parametrize("n_samples", [400, 1070])
 @pytest.mark.parametrize("fixed", [False, True])
 def test_collinear_inputs_named_from_R_as_from_H(monkeypatch, n_samples, fixed):
-    # the pairs named from the fit's R factor are those a pivoted QR and the
-    # column correlations of the fit's own rows give
+    # the pairs named from R are those a pivoted QR and the column
+    # correlations of the same columns over the bank's rows give: the fit's
+    # at fixed orders, the search bank's leading input powers otherwise
     cfg = load_config(None) | {"n_train": n_samples - 50,
                                "fixed_orders": _FIXED if fixed else None}
     calls = _record_fit_calls(monkeypatch)
@@ -209,13 +209,59 @@ def test_collinear_inputs_named_from_R_as_from_H(monkeypatch, n_samples, fixed):
         identify(_collinear_oracle(n_samples), cfg)
     got = raised.value.__cause__
     assert isinstance(got, RankDeficiencyError)
-    # the fit's rows are the bank's, fixed orders or not
-    (train, *_), = calls["fold_orders" if fixed else "fold_bank"]
-    orders, s, bank = calls["fit_orders"][-1]
-    H = estimate.build_regressor(train, orders, s).H[bank.max_lag - orders.max_lag:]
-    want = offenders_from_H(H, got.rank, estimate.regression_columns(orders))
+    if fixed:
+        (train, *_), = calls["fold_orders"]
+        orders, s, bank = calls["fit_orders"][-1]
+        H = estimate.build_regressor(train, orders, s).H[bank.max_lag - orders.max_lag:]
+        column_map = estimate.regression_columns(orders)
+    else:
+        # both inputs' four powers at lags 10..18, over the rows from 18 on
+        (train, *_), = calls["fold_bank"]
+        H = estimate.lagged_columns(train, [4, 4], [(g, range(10, 19)) for g in range(8)], 18,
+                                    0, train.n_samples - 18)
+        column_map = [estimate.Column("input_power", lag, j, i)
+                      for j in range(2) for i in range(1, 5) for lag in range(10, 19)]
+    want = offenders_from_H(H, got.rank, column_map)
     assert len(want) == got.n_columns - got.rank
     assert sorted(got.offenders) == sorted(want)
+
+
+def _three_level_oracle(n_samples):
+    """V_f on the levels -1, 0 and 1 only: V_f^3 = V_f, so its levels carry
+    no degree above 2."""
+    data = _oracle(n_samples)
+    U = np.column_stack([data.inputs[:, 0], np.sign(data.inputs[:, 1])])
+    return replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+
+
+@pytest.mark.parametrize("make, rank, partner", [
+    # each V_f power is half to the power of an I_p one
+    pytest.param(_collinear_oracle, 36, "u1^", id="collinear"),
+    # V_f^3 = V_f and V_f^4 = V_f^2 at each lag: one of each pair is named
+    pytest.param(_three_level_oracle, 54, "u2^", id="three-levels"),
+])
+def test_unidentifiable_inputs_refused_before_the_delay_scan(monkeypatch, make, rank, partner):
+    # the search bank's 72 leading columns, both inputs' four powers at lags
+    # 10..18, are rank deficient: the scan and the search would run on them,
+    # and only the fit of the selected orders would fail
+    def fail(*args, **kwargs):
+        raise AssertionError("the delay scan ran")
+
+    monkeypatch.setattr(structure, "estimate_delays", fail)
+    with pytest.raises(StageError, match=f"^structure: regressor rank {rank} < 72 columns; "
+                                         "dependent columns: u2\\^") as raised:
+        identify(make(1070), load_config(None))
+    offenders = raised.value.__cause__.offenders
+    assert len(offenders) == 72 - rank
+    assert all(dep.startswith("u2^") and ind.startswith(partner) for dep, ind in offenders)
+
+
+def test_three_levels_searched_up_to_p_max_2():
+    # powers above p_max are not checked: the scan's p 4 deflates them
+    cfg = load_config(None)
+    cfg["structure"]["p_max"] = 2
+    result = identify(_three_level_oracle(1070), cfg)
+    assert all(c.p <= 2 for search in result.searches for c in search.selected.channels)
 
 
 @pytest.mark.parametrize("method", ["batch", "rls"])
@@ -256,6 +302,18 @@ def test_unknown_method_rejected_before_any_work(monkeypatch):
                  "^estimate: alpha_sq must be positive, got 0.0$", id="rls-alpha_sq-0"),
     pytest.param({"estimator": {"method": "batch", "alpha_sq": -1e6}},
                  "^estimate: alpha_sq must be positive, got -1000000.0$", id="batch-alpha_sq-neg"),
+    pytest.param({"estimator": {"method": "rls", "alpha_sq": float("nan")}},
+                 "^estimate: alpha_sq must be positive, got nan$", id="rls-alpha_sq-nan"),
+    pytest.param({"estimator": {"method": "batch", "alpha_sq": float("nan")}},
+                 "^estimate: alpha_sq must be positive, got nan$", id="batch-alpha_sq-nan"),
+    *[pytest.param({"structure": load_config(None)["structure"] | {key: value}},
+                   f"^structure: {key} must be >= 0, got {value}$", id=f"{key}-{tag}")
+      for key in ("plateau_threshold", "convergence_floor")
+      for value, tag in ((-0.5, "neg"), (float("nan"), "nan"))],
+    # a search setting is checked at fixed orders too
+    pytest.param({"fixed_orders": _FIXED,
+                  "structure": load_config(None)["structure"] | {"convergence_floor": -0.5}},
+                 "^structure: convergence_floor must be >= 0, got -0.5$", id="fixed-floor-neg"),
     pytest.param({"validation": {"one_step_ahead": False, "std_ddof": 2}},
                  "^validate: std_ddof must be 0 \\(population\\) or 1 \\(sample\\), got 2$",
                  id="std_ddof-2"),

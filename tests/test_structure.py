@@ -42,6 +42,7 @@ from hammid.structure import (
     _nested_losses,
     fit_orders,
     fold_bank,
+    fold_orders,
 )
 
 from helpers import default_excitation, preset_oracle_dataset, recursion_oracle
@@ -813,6 +814,27 @@ class TestDelayEstimation:
         with pytest.raises(ValueError, match="^constant output series 'y'$"):
             estimate_delay(np.arange(400.0), np.ones(400), max_lag=5)
 
+    def test_constant_series_refused_by_every_bank(self):
+        # the scan's, the search's and fixed orders' own banks refuse a
+        # constant input before they fold: no input power of it is
+        # identifiable, yet a search would still select orders
+        data = preset_oracle_dataset(n_samples=1070)
+        data.inputs[:, 1] = 0.0
+        fixed = [StructureOrders(2, [ChannelOrders(1, 1, 0)] * 2)] * 2
+        for call in (lambda: estimate_delays(data, 0, max_lag=10),
+                     lambda: select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4)),
+                     lambda: fold_orders(data, fixed)):
+            with pytest.raises(ValueError, match="^constant input series 'V_f'$"):
+                call()
+        # an output is refused only where a regression targets it
+        data = preset_oracle_dataset(n_samples=1070)
+        data.outputs[:, 1] = 0.0
+        assert select_structure(data, 0, [1, 1], SearchBounds(6, 6, 4)).selected.n == 5
+        for call in (lambda: estimate_delays(data, 0, max_lag=10),
+                     lambda: select_structure(data, 1, [3, 3], SearchBounds(6, 6, 4))):
+            with pytest.raises(ValueError, match="^constant output series 'H_f'$"):
+                call()
+
     @pytest.mark.parametrize("output", [2, -1])
     def test_output_index_checked_before_the_constant_checks(self, output):
         data = preset_oracle_dataset(n_samples=200)
@@ -867,12 +889,15 @@ def test_scan_search_and_batch_ls_call_no_numpy_linalg(monkeypatch, noise_std):
                                  prob.column_map + prob.column_map[-1:])
         with pytest.raises(RankDeficiencyError, match=r"dependent columns: u2\^"):
             batch_ls(twin)
-    # V_f half of I_p: the bank fit of the preset's orders is rank deficient
+    # V_f half of I_p: the search's bank refuses the inputs from its leading
+    # columns, and the scan's bank fit of the preset's orders is rank deficient
     U = np.column_stack([data.inputs[:, 0], 0.5 * data.inputs[:, 0]])
     collinear = replace(data, inputs=U, outputs=simulate_mimo(gtaw_pool_model(), U))
+    with pytest.raises(RankDeficiencyError, match=r"dependent columns: u2\^1\(k-10\) ~ u1\^1"):
+        fold_bank(collinear, 10, SearchBounds(6, 6, 4))
     orders = StructureOrders(5, [ChannelOrders(2, 5, 1)] * 2)
     with pytest.raises(RankDeficiencyError, match=r"dependent columns: u2\^1\(k-1\) ~ u1\^1"):
-        fit_orders(orders, 0, fold_bank(collinear, 10, SearchBounds(6, 6, 4)))
+        fit_orders(orders, 0, fold_bank(collinear, 10))
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.01])
@@ -1042,13 +1067,13 @@ class TestSelectStructure:
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-10 * max(1.0, a)
 
-    @pytest.mark.parametrize("value", [-0.5, float("nan")])
     @pytest.mark.parametrize("key", ["plateau_threshold", "convergence_floor"])
-    def test_negative_threshold_rejected(self, key, value):
+    def test_negative_threshold_rejected(self, key):
         # no loss lies below a negative floor or within a negative margin of
         # the best, and none compares with NaN: the bounds refuse both
-        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got {value}$"):
-            SearchBounds(4, 4, 3, **{key: value})
+        for value in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match=f"^{key} must be >= 0, got {value}$"):
+                SearchBounds(4, 4, 3, **{key: value})
 
     def test_insufficient_data_rejected(self):
         data = self._synthetic([0.2], [1.0], 0, [-0.5], n_samples=30)
